@@ -26,6 +26,7 @@ Consequences used by tests and callers:
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -152,12 +153,32 @@ def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
     return box[r0 - lo : r1 - lo]
 
 
+def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
+    """Flat index, value and coefficient of every nonzero-coefficient pixel.
+
+    These critical pixels are the only ones either curve depends on."""
+    idx = np.flatnonzero(coeffs)
+    return idx, values.ravel()[idx], coeffs.ravel()[idx]
+
+
 def _row_block(dims: tuple[int, ...], target_elems: int = 65536) -> int:
     """First-axis block height keeping a block roughly cache-sized."""
     row = 1
     for s in dims[1:]:
         row *= s
     return int(np.clip(target_elems // max(row, 1), 1, dims[0]))
+
+
+def _fan_out(fn, n: int, workers: int) -> list:
+    """Results of ``fn(start, stop)`` over one contiguous span of range(n) per worker."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    bounds = np.linspace(0, n, max(1, min(workers, n)) + 1).astype(int).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    if len(spans) == 1:
+        return [fn(*spans[0])]
+    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        return list(pool.map(lambda span: fn(*span), spans))
 
 
 def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:

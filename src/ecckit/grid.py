@@ -105,7 +105,8 @@ def _affine_guess(x, t0: float, inv_w: float, nbins: int):
     with np.errstate(over="ignore"):
         # inv_w > 0, so an overflow lands on +-inf and clips to the right
         # end bin; NaN cannot arise
-        pos = (np.asarray(x, dtype=np.float64) - t0) * inv_w
+        pos = np.asarray(x, dtype=np.float64) - t0
+        pos *= inv_w
     pos -= 1e-9
     np.clip(pos, 0.0, float(nbins), out=pos)
     np.ceil(pos, out=pos)
@@ -147,15 +148,16 @@ class ThresholdSet:
     def _certify_affine(self):
         taus = self.taus
         n = taus.size
-        if n < 2:
+        span = float(taus[-1]) - float(taus[0])
+        if n < 2 or not np.isfinite(span):
             return None
-        span = taus[-1] - taus[0]
         t0 = float(taus[0])
         inv_w = (n - 1) / span
         # true index is j at taus[j] and j+1 just above it; require the
         # guess to sit in [true - 1, true] at both kinds of breakpoint
         at = _affine_guess(taus, t0, inv_w, n)
-        above = _affine_guess(np.nextafter(taus, np.inf), t0, inv_w, n)
+        with np.errstate(over="ignore"):  # above the largest float is inf
+            above = _affine_guess(np.nextafter(taus, np.inf), t0, inv_w, n)
         j = np.arange(n)
         ok = (
             (at <= j).all()
@@ -163,7 +165,8 @@ class ThresholdSet:
             and (above <= j + 1).all()
             and (above >= j).all()
         )
-        return (t0, inv_w) if ok else None
+        # taus padded with +inf, against which a guess past the end is never bumped
+        return (t0, inv_w, np.append(taus, np.inf)) if ok else None
 
     def bin_indices(self, values) -> np.ndarray:
         """For each value, the smallest index j with value <= taus[j].
@@ -172,10 +175,9 @@ class ThresholdSet:
         """
         v = np.asarray(values, dtype=np.float64)
         if self._affine is not None:
-            t0, inv_w = self._affine
+            t0, inv_w, padded = self._affine
             idx = _affine_guess(v, t0, inv_w, len(self))
-            covered = self.taus[np.minimum(idx, len(self) - 1)]
-            idx += (idx < len(self)) & (v > covered)
+            idx += v > padded[idx]
             return idx
         return np.searchsorted(self.taus, v, side="left")
 
@@ -191,7 +193,11 @@ def uniform_thresholds(grid: ScalarGrid, bins: int) -> ThresholdSet:
         raise ValueError(f"bins must be >= 1, got {bins}")
     lo = float(grid.values.min())
     hi = float(grid.values.max())
-    edges = lo + (hi - lo) * (np.arange(1, bins + 1) / bins)
+    frac = np.arange(1, bins + 1) / bins
+    if np.isfinite(hi - lo):
+        edges = lo + (hi - lo) * frac
+    else:  # the span overflows only when lo < 0 < hi, where neither term can
+        edges = lo * (1.0 - frac) + hi * frac
     edges[-1] = hi
     return ThresholdSet(np.unique(edges))
 
@@ -301,10 +307,11 @@ def write_grid(grid: ScalarGrid, path) -> None:
 def write_curve(curve: EulerCurve, path) -> None:
     """Write ``threshold,chi`` CSV; integer chi for exact curves."""
     lines = ["threshold,chi"]
-    if curve.is_integral:
-        lines += [f"{t!r},{int(v)}" for t, v in zip(curve.taus.tolist(), curve.values.tolist())]
-    else:
-        lines += [f"{t!r},{v:.9g}" for t, v in zip(curve.taus.tolist(), curve.values.tolist())]
+    for t, v in zip(curve.taus.tolist(), curve.values.tolist()):
+        text = f"{int(v)}" if curve.is_integral else f"{v:.9g}"
+        if not curve.is_integral and text.lstrip("-").isdigit():
+            text += ".0"  # a '.' or an exponent keeps a float curve float on reading
+        lines.append(f"{t!r},{text}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -3,8 +3,11 @@
 Each pixel deposits its coefficient into the bin of the smallest threshold
 covering its value (pixels above the last threshold are tallied in a
 separate overflow bucket); a prefix sum over bins then yields the curve.
-All bin arithmetic is 64-bit integer, so results are bit-identical across
-strategies, worker counts and merge orders.
+Only critical pixels, those with a nonzero coefficient, change a bin, so
+a block that is mostly zeros is compacted to them before binning.  Each
+worker counts into one float64 histogram whose sums are small integers,
+hence exact, and converts it to int64 once; results are bit-identical
+across strategies, worker counts and merge orders.
 
 Two accumulation strategies expose a performance comparison:
 
@@ -21,21 +24,19 @@ Two accumulation strategies expose a performance comparison:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .coefficients import _coefficient_rows, _lower_star_coefficients, _row_block
+from .coefficients import (
+    _coefficient_rows,
+    _critical_pixels,
+    _fan_out,
+    _lower_star_coefficients,
+    _row_block,
+)
 from .grid import EulerCurve, ScalarGrid, ThresholdSet
-
-# Packed histogram layout: one bincount key per pixel combining the bin
-# index with the coefficient shifted into [0, 16).  The coefficient ranges
-# [-3,1] (2D) and [-5,7] (3D) both fit.
-_CSHIFT = 4
-_CSLOTS = 1 << _CSHIFT
-_COFFSET = 8
-_FOLD = np.arange(_CSLOTS, dtype=np.int64) - _COFFSET
 
 
 @dataclass(frozen=True)
@@ -118,29 +119,35 @@ def merge_histograms(parts) -> HistogramBins:
     return HistogramBins(first.taus, bins, overflow)
 
 
-def _fold_counts(taus: ThresholdSet, counts: np.ndarray) -> HistogramBins:
-    per_bin = counts.reshape(len(taus) + 1, _CSLOTS) @ _FOLD
-    return HistogramBins(taus.taus, per_bin[:-1], int(per_bin[-1]))
+def _block_counts(values, coeffs, taus: ThresholdSet) -> np.ndarray:
+    """Float64 coefficient totals of one block per bin, overflow last.
+
+    A block whose nonzero share is under a quarter is first compacted to
+    its critical pixels; denser blocks are binned whole, since compaction
+    then costs more than binning the zeros.  The weighted count is exact:
+    every partial sum is an integer of magnitude at most 7 * pixels, far
+    below 2**53.
+    """
+    if 4 * np.count_nonzero(coeffs) < coeffs.size:
+        _, values, coeffs = _critical_pixels(values, coeffs)
+    bins = taus.bin_indices(values.ravel())
+    return np.bincount(bins, weights=coeffs.ravel(), minlength=len(taus) + 1)
 
 
-def _packed_counts(values_flat, coeffs_flat, taus: ThresholdSet) -> np.ndarray:
-    key = taus.bin_indices(values_flat)
-    key <<= _CSHIFT
-    key += _COFFSET
-    key += coeffs_flat.ravel()
-    return np.bincount(key, minlength=(len(taus) + 1) * _CSLOTS)
+def _to_bins(taus: ThresholdSet, hist: np.ndarray) -> HistogramBins:
+    counts = hist.astype(np.int64)
+    return HistogramBins(taus.taus, counts[:-1], int(counts[-1]))
 
 
 def _sweep_rows(grid: ScalarGrid, taus: ThresholdSet, r0: int, r1: int) -> HistogramBins:
     """Private histogram for first-axis rows [r0, r1), in cache-sized blocks."""
     values = grid.values
-    counts = np.zeros((len(taus) + 1) * _CSLOTS, dtype=np.int64)
+    hist = np.zeros(len(taus) + 1)
     step = _row_block(values.shape)
     for s0 in range(r0, r1, step):
         s1 = min(r1, s0 + step)
-        c8 = _coefficient_rows(values, s0, s1)
-        counts += _packed_counts(values[s0:s1].ravel(), c8, taus)
-    return _fold_counts(taus, counts)
+        hist += _block_counts(values[s0:s1], _coefficient_rows(values, s0, s1), taus)
+    return _to_bins(taus, hist)
 
 
 def _flat_range_box(start: int, stop: int, dims) -> tuple[slice, ...]:
@@ -162,23 +169,11 @@ def _flat_range_box(start: int, stop: int, dims) -> tuple[slice, ...]:
 
 def _chunk_histogram(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> HistogramBins:
     """Histogram of one flat chunk, recomputing coefficients with a halo."""
-    dims = grid.dims
-    box = _flat_range_box(start, stop, dims)
-    sub = grid.values[box]
-    coeffs_box = _lower_star_coefficients(sub)
-
-    flat = np.arange(start, stop)
-    coords = np.unravel_index(flat, dims)
+    box = _flat_range_box(start, stop, grid.dims)
+    coords = np.unravel_index(np.arange(start, stop), grid.dims)
     local = tuple(c - s.start for c, s in zip(coords, box))
-    c8 = coeffs_box[local]
-
-    counts = _packed_counts(grid.values.ravel()[start:stop], c8, taus)
-    return _fold_counts(taus, counts)
-
-
-def _worker_row_ranges(n_rows: int, workers: int) -> list[tuple[int, int]]:
-    bounds = np.linspace(0, n_rows, min(workers, n_rows) + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    c8 = _lower_star_coefficients(grid.values[box])[local]
+    return _to_bins(taus, _block_counts(grid.values.ravel()[start:stop], c8, taus))
 
 
 def accumulate_histogram(
@@ -192,12 +187,7 @@ def accumulate_histogram(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     if isinstance(strategy, FullSweep):
-        ranges = _worker_row_ranges(grid.dims[0], workers)
-        if len(ranges) == 1:
-            return _sweep_rows(grid, taus, *ranges[0])
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(lambda rr: _sweep_rows(grid, taus, *rr), ranges))
-        return merge_histograms(parts)
+        return merge_histograms(_fan_out(partial(_sweep_rows, grid, taus), grid.dims[0], workers))
 
     if isinstance(strategy, Chunked):
         # Deliberately sequential: models per-chunk synchronization; every

@@ -215,17 +215,17 @@ def test_criterion_7_performance():
 
     bins = 256
 
+    def once_ms(fn):
+        t0 = time.perf_counter()
+        fn()
+        return (time.perf_counter() - t0) * 1e3
+
     def best_ms(fn, reps):
         # scheduler noise only ever adds time, so the minimum over repeats
         # is the robust estimate of a deterministic computation's cost
         fn()  # warm-up
         gc.collect()
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - t0)
-        return min(samples) * 1e3
+        return min(once_ms(fn) for _ in range(reps))
 
     def fullsweep_ms(dims, reps=9):
         grid = generate_grid(SyntheticSpec(kind="uniform-random", dims=dims, seed=11))
@@ -235,16 +235,25 @@ def test_criterion_7_performance():
 
     t256, _, _ = fullsweep_ms((256, 256))
     t512, g512, taus512 = fullsweep_ms((512, 512))
-    t1024, g1024, taus1024 = fullsweep_ms((1024, 1024))
+    g1024 = generate_grid(SyntheticSpec(kind="uniform-random", dims=(1024, 1024), seed=11))
+    taus1024 = uniform_thresholds(g1024, bins)
     t4096, _, _ = fullsweep_ms((4096, 4096), reps=3)
 
     c512 = best_ms(lambda: compute_ecc(g512, taus512, Chunked(4096), 1), 5)
     c1024 = best_ms(lambda: compute_ecc(g1024, taus1024, Chunked(4096), 1), 5)
 
-    oracle_curve = oracle_ecc(g1024, taus1024)
-    oracle_ms = best_ms(lambda: oracle_ecc(g1024, taus1024), 1)
-    fast_curve = compute_ecc(g1024, taus1024, FullSweep(), 1)
-    assert np.array_equal(oracle_curve.values, fast_curve.values)
+    # A shared CPU can hold one of two speeds for seconds at a time: longer
+    # than a batch of sweeps, shorter than this loop.  Sampling the oracle
+    # and the 1024^2 sweep in alternation and keeping each one's minimum
+    # over all rounds lets both minima come from the same, faster state.
+    fast = lambda: compute_ecc(g1024, taus1024, FullSweep(), 1)
+    slow = lambda: oracle_ecc(g1024, taus1024)
+    assert np.array_equal(slow().values, fast().values)
+    gc.collect()
+    t1024 = oracle_ms = float("inf")
+    for _ in range(6):
+        oracle_ms = min(oracle_ms, once_ms(slow))
+        t1024 = min(t1024, *(once_ms(fast) for _ in range(3)))
 
     speedup_512 = c512 / t512
     speedup_1024 = c1024 / t1024

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ecckit import (
     CorruptionError,
+    curve_checksum,
     EulerCurve,
     FormatError,
     ScalarGrid,
@@ -155,6 +156,28 @@ class TestUniformThresholds:
         with pytest.raises(ValueError):
             uniform_thresholds(ScalarGrid(np.zeros((2, 2))), 0)
 
+    def test_finite_spans_keep_the_equal_width_formula(self, rng):
+        for _ in range(25):
+            g = random_f32_grid(rng, 2, 12)
+            bins = int(rng.integers(1, 300))
+            lo, hi = float(g.values.min()), float(g.values.max())
+            edges = lo + (hi - lo) * (np.arange(1, bins + 1) / bins)
+            edges[-1] = hi
+            assert uniform_thresholds(g, bins).taus.tobytes() == np.unique(edges).tobytes()
+
+    def test_span_beyond_the_float_range(self):
+        top = np.finfo(np.float64).max
+        for lo, hi in ((-1e308, 1e308), (-top, top), (-top, 1.0)):
+            for bins in (2, 4, 1000):
+                ts = uniform_thresholds(ScalarGrid([[lo, hi]]), bins)
+                assert np.isfinite(ts.taus).all()
+                assert (np.diff(ts.taus) > 0).all()
+                assert ts.taus[-1] == hi
+                assert np.array_equal(
+                    ts.bin_indices([lo, 0.0, hi]),
+                    np.searchsorted(ts.taus, [lo, 0.0, hi], side="left"),
+                )
+
 
 class TestGridFiles:
     def test_simple_encoding(self, tmp_path):
@@ -285,6 +308,15 @@ class TestCurveFiles:
         back = read_curve(path)
         assert not back.is_integral
         assert np.allclose(back.values, soft.values, rtol=1e-8)
+
+    def test_float_curve_with_integral_values_stays_float(self, tmp_path):
+        path = tmp_path / "c.csv"
+        soft = EulerCurve([0.5, 1.0, 2.0], np.array([1.0, -2.0, 0.0]))
+        write_curve(soft, path)
+        assert path.read_text() == "threshold,chi\n0.5,1.0\n1.0,-2.0\n2.0,0.0\n"
+        back = read_curve(path)
+        assert back.values.dtype == np.float64
+        assert curve_checksum(back) == curve_checksum(soft)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecckit.hard
 from ecckit import (
     Chunked,
     FullSweep,
@@ -186,6 +187,39 @@ class TestStrategyEquivalence:
         want = oracle_ecc(g, taus).values
         assert np.array_equal(compute_ecc(g, taus, FullSweep()).values, want)
         assert np.array_equal(compute_ecc(g, taus, Chunked(3)).values, want)
+
+
+class TestCompaction:
+    def test_blocks_on_both_sides_of_the_compaction_rule(self, rng, monkeypatch):
+        # 256 columns make 256-row blocks: rows [0, 300) are constant, so
+        # their coefficients vanish and those blocks are compacted; the
+        # random rows are ~60% critical and are binned whole
+        vals = np.full((512, 256), 4.5)
+        vals[300:] = rng.integers(0, 10, (212, 256))
+        g = ScalarGrid(vals)
+        taus = ThresholdSet(np.unique(vals))
+        want = oracle_ecc(g, taus).values
+
+        blocks, compacted = [], []  # list.append is atomic across worker threads
+        block_counts, critical = ecckit.hard._block_counts, ecckit.hard._critical_pixels
+
+        def counting_block_counts(*args):
+            blocks.append(1)
+            return block_counts(*args)
+
+        def counting_critical(*args):
+            compacted.append(1)
+            return critical(*args)
+
+        monkeypatch.setattr(ecckit.hard, "_block_counts", counting_block_counts)
+        monkeypatch.setattr(ecckit.hard, "_critical_pixels", counting_critical)
+        for strategy in (FullSweep(), Chunked(4096)):
+            for workers in (1, 2, 8):
+                blocks.clear()
+                compacted.clear()
+                got = compute_ecc(g, taus, strategy, workers).values
+                assert got.tobytes() == want.tobytes(), (strategy, workers)
+                assert 0 < len(compacted) < len(blocks), (strategy, workers)
 
 
 class TestValidation:

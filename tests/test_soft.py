@@ -1,16 +1,21 @@
 """Smoothed curves: forward values, analytic gradients, direction handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from ecckit import (
     CoefficientGrid,
     ScalarGrid,
     SoftEccParams,
+    SyntheticSpec,
     ThresholdSet,
     compute_coefficients,
     compute_ecc,
     effective_field,
+    generate_grid,
     gradient_check,
     pixel_coordinates,
     reparametrize_direction,
@@ -123,6 +128,18 @@ class TestParams:
     def test_lambda_positive(self):
         with pytest.raises(ValueError):
             SoftEccParams(lam=0.0, alpha=0.0, u=np.array([1.0, 0.0]),
+                          taus=ThresholdSet([0.0]))
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, -np.inf])
+    def test_lambda_finite(self, lam):
+        with pytest.raises(ValueError):
+            SoftEccParams(lam=lam, alpha=0.0, u=np.array([1.0, 0.0]),
+                          taus=ThresholdSet([0.0]))
+
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan, -np.inf])
+    def test_alpha_finite(self, alpha):
+        with pytest.raises(ValueError):
+            SoftEccParams(lam=1.0, alpha=alpha, u=np.array([1.0, 0.0]),
                           taus=ThresholdSet([0.0]))
 
     def test_unit_norm_enforced(self):
@@ -313,3 +330,90 @@ class TestDeterminism:
         for workers in (2, 3, 8):
             other = soft_ecc(g, coeffs, p, workers=workers).values
             assert np.abs(other - base).max() <= 1e-10
+
+
+def dense_reference(grid, coeffs, params, upstream):
+    """The docstring formulas evaluated at every pixel, zero coefficients included."""
+    lam, alpha, u, taus = params.lam, params.alpha, params.u, params.taus.taus
+    pos = pixel_coordinates(grid.dims)
+    field = grid.values.ravel() + alpha * (pos @ u)
+    c = coeffs.coeffs.ravel().astype(np.float64)
+    s = expit(lam * (taus[:, None] - field[None, :]))
+    sp = lam * s * (1.0 - s)
+    w = upstream @ sp
+    d_u = -alpha * ((w * c) @ pos)
+    return {
+        "curve": s @ c,
+        "d_values": (-c * w).reshape(grid.dims),
+        "d_tau": upstream * (sp @ c),
+        "d_u": d_u - (d_u @ u) * u,
+    }
+
+
+def reference_cases(rng):
+    """(name, grid, coefficients, params) over dense, tied and sparse fields.
+
+    The constant grid has one critical pixel and the last case none.
+    """
+    plateau = rng.random((20, 17))
+    plateau[plateau < 0.5] = 0.25
+    grids = {
+        "random-2d": ScalarGrid(rng.random((24, 19))),
+        "random-3d": ScalarGrid(rng.random((6, 5, 7))),
+        "tied-plateau": ScalarGrid(plateau),
+        "blobs": generate_grid(SyntheticSpec(kind="gaussian-blobs", dims=(48, 40), seed=3)),
+        "constant": ScalarGrid(np.full((5, 6), 0.5)),
+    }
+    for name, grid in grids.items():
+        u = reparametrize_direction(rng.normal(size=grid.ndim))
+        for alpha in (0.0, 0.3):
+            field = effective_field(grid, alpha, u)
+            taus = uniform_thresholds(field, 9)
+            if len(taus) == 1:
+                taus = ThresholdSet([taus.taus[0] - 0.1, taus.taus[0], taus.taus[0] + 0.1])
+            params = SoftEccParams(lam=12.0, alpha=alpha, u=u, taus=taus)
+            yield name, grid, compute_coefficients(field), params
+    zeros = CoefficientGrid(np.zeros(grids["blobs"].dims, dtype=np.int8))
+    yield "no-critical-pixels", grids["blobs"], zeros, params
+
+
+class TestCriticalPixelsMatchDenseFormulas:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forward_and_gradients(self, rng, workers):
+        fewest = np.inf
+        for name, grid, coeffs, params in reference_cases(rng):
+            fewest = min(fewest, np.count_nonzero(coeffs.coeffs))
+            upstream = rng.uniform(0.5, 1.5, size=len(params.taus))
+            want = dense_reference(grid, coeffs, params, upstream)
+            grads = soft_ecc_backward(grid, coeffs, params, upstream, workers)
+            got = {
+                "curve": soft_ecc(grid, coeffs, params, workers).values,
+                "d_values": grads.d_values,
+                "d_tau": grads.d_tau,
+                "d_u": grads.d_u,
+            }
+            for key, ref in want.items():
+                assert got[key].shape == ref.shape, (name, key)
+                scale = max(float(np.abs(ref).max()), 1e-300)
+                err = float(np.abs(got[key] - ref).max())
+                assert err <= 1e-12 * scale, (name, key, workers, err, scale)
+        assert fewest < workers  # some grid leaves a worker without pixels
+
+
+class TestThresholdScaling:
+    def test_peak_memory_bounded_with_many_thresholds(self, rng):
+        grid = ScalarGrid(rng.random((32, 32)))
+        coeffs = compute_coefficients(grid)
+        taus = ThresholdSet(np.linspace(0.0, 1.0, 40_000))
+        params = SoftEccParams(lam=10.0, alpha=0.2, u=unit(1, 2), taus=taus)
+        for run in (
+            lambda: soft_ecc(grid, coeffs, params),
+            lambda: soft_ecc_backward(grid, coeffs, params, np.ones(len(taus))),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
