@@ -22,7 +22,6 @@ from .coefficients import (
     CoefficientGrid,
     compute_coefficients,
     read_coefficients,
-    vertex_order,
     write_coefficients,
 )
 from .grid import (
@@ -31,10 +30,8 @@ from .grid import (
     FormatError,
     ScalarGrid,
     ThresholdSet,
-    flatten_index,
     read_curve,
     read_grid,
-    unflatten_index,
     uniform_thresholds,
     write_curve,
     write_grid,
@@ -42,11 +39,7 @@ from .grid import (
 from .hard import (
     Chunked,
     FullSweep,
-    HistogramBins,
-    accumulate_histogram,
-    bin_index,
     compute_ecc,
-    merge_histograms,
     parse_strategy,
 )
 from .oracle import CellCounts, count_cells, oracle_ecc, sublevel_mask
@@ -55,7 +48,6 @@ from .soft import (
     SoftGradients,
     effective_field,
     gradient_check,
-    pixel_coordinates,
     reparametrize_direction,
     reparametrize_direction_jvp,
     soft_ecc,
@@ -77,26 +69,20 @@ __all__ = [
     "EulerCurve",
     "FormatError",
     "FullSweep",
-    "HistogramBins",
     "ScalarGrid",
     "SoftEccParams",
     "SoftGradients",
     "SyntheticSpec",
     "ThresholdSet",
-    "accumulate_histogram",
-    "bin_index",
     "compute_coefficients",
     "compute_ecc",
     "count_cells",
     "curve_checksum",
     "effective_field",
-    "flatten_index",
     "generate_grid",
     "gradient_check",
-    "merge_histograms",
     "oracle_ecc",
     "parse_strategy",
-    "pixel_coordinates",
     "read_coefficients",
     "read_curve",
     "read_grid",
@@ -106,9 +92,7 @@ __all__ = [
     "soft_ecc",
     "soft_ecc_backward",
     "sublevel_mask",
-    "unflatten_index",
     "uniform_thresholds",
-    "vertex_order",
     "write_coefficients",
     "write_curve",
     "write_grid",

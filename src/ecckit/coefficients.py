@@ -170,7 +170,12 @@ def _row_block(dims: tuple[int, ...], target_elems: int = 65536) -> int:
 
 
 def _fan_out(fn, n: int, workers: int) -> list:
-    """Results of ``fn(start, stop)`` over one contiguous span of range(n) per worker."""
+    """Results of ``fn(start, stop)`` over one contiguous span of range(n) per worker.
+
+    Callers count ``n`` in whole blocks, so block boundaries are the same
+    at every worker count, and input of a single block runs on the calling
+    thread without starting a pool.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     bounds = np.linspace(0, n, max(1, min(workers, n)) + 1).astype(int).tolist()
@@ -194,11 +199,6 @@ def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:
         r1 = min(values.shape[0], r0 + step)
         out[r0:r1] = _coefficient_rows(values, r0, r1)
     return CoefficientGrid(out)
-
-
-def vertex_order(grid: ScalarGrid) -> np.ndarray:
-    """Permutation of linear indices sorting pixels by (value, index)."""
-    return np.argsort(grid.values.ravel(), kind="stable")
 
 
 def write_coefficients(cg: CoefficientGrid, path) -> None:

@@ -6,7 +6,9 @@ Conventions shared by every other module:
   fastest).  Values live in float64 in memory; the on-disk payload is
   little-endian float32, so grids that originate from files or from the
   synthetic generators round-trip bit-exactly.
-* A linear pixel index is the row-major flattening of its coordinates.
+* A linear (flat) pixel index is the row-major flattening of its
+  coordinates, as ``np.ravel_multi_index`` computes it; it orders tied
+  values in the coefficient pass and locates critical pixels.
 
 Grid file format (version 1)::
 
@@ -79,18 +81,6 @@ class ScalarGrid:
 
     def __repr__(self):
         return f"ScalarGrid(dims={self.dims})"
-
-
-def flatten_index(coords, dims) -> int:
-    """Row-major linear index of a pixel coordinate tuple."""
-    return int(np.ravel_multi_index(tuple(coords), tuple(dims)))
-
-
-def unflatten_index(index: int, dims) -> tuple[int, ...]:
-    """Inverse of :func:`flatten_index`."""
-    if index < 0:
-        raise ValueError(f"negative linear index {index}")
-    return tuple(int(c) for c in np.unravel_index(index, tuple(dims)))
 
 
 def _affine_guess(x, t0: float, inv_w: float, nbins: int):

@@ -8,8 +8,10 @@ tau is::
 
 where ``p`` in the inner product is the pixel position mapped per axis to
 [-1, 1] (single-pixel axes map to 0), keeping the meaning of ``alpha``
-independent of resolution.  As ``lam`` grows this converges to the exact
-curve at thresholds bounded away from grid values.
+independent of resolution.  Each axis has one such coordinate vector:
+:func:`effective_field` broadcasts it along its axis, and the passes
+below index it at their critical pixels.  As ``lam`` grows this converges
+to the exact curve at thresholds bounded away from grid values.
 
 Coefficients carry no gradient: they are a piecewise-constant function of
 the field, so callers compute them from the effective field
@@ -20,10 +22,12 @@ through :func:`reparametrize_direction` evaluated on the sphere.
 
 Only critical pixels, those with a nonzero coefficient, contribute, so
 each pass compacts the grid to them once and evaluates sigmoids there
-alone; ``d_values`` is zero at every other pixel.  Accumulation runs per
-worker over fixed blocks of critical pixels in float64 and the worker
-partials are summed in a fixed order, so repeated runs at a fixed worker
-count are bit-identical; across worker counts results agree to ~1e-10.
+alone; ``d_values`` is zero at every other pixel.  Critical pixels are
+taken in blocks that bound the sigmoid block to ``_BLOCK_ENTRIES``
+entries; each worker accumulates whole blocks in float64, so input of one
+block runs on the calling thread, and the worker partials are summed in a
+fixed order.  Repeated runs at a fixed worker count are bit-identical;
+across worker counts results agree to ~1e-10.
 """
 
 from __future__ import annotations
@@ -81,28 +85,32 @@ class SoftGradients:
     d_u: np.ndarray
 
 
-def pixel_coordinates(dims, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Positions of pixels [start, stop) mapped per axis into [-1, 1].
+def _axis_coordinates(dims) -> list[np.ndarray]:
+    """Per axis, the positions of its pixels mapped into [-1, 1].
 
-    Returns an (n, ndim) float64 array; axes of extent 1 map to 0.
+    Axes of extent 1 map to 0.
     """
-    return _positions(dims, np.arange(start, int(np.prod(dims)) if stop is None else stop))
+    return [
+        np.zeros(1) if d == 1 else np.arange(d) * (2.0 / (d - 1)) - 1.0
+        for d in dims
+    ]
 
 
 def _positions(dims, flat: np.ndarray) -> np.ndarray:
-    """:func:`pixel_coordinates` of the pixels at the given flat indices."""
-    dims = tuple(dims)
-    out = np.empty((flat.size, len(dims)))
-    for a, (idx, d) in enumerate(zip(np.unravel_index(flat, dims), dims)):
-        out[:, a] = 0.0 if d == 1 else idx * (2.0 / (d - 1)) - 1.0
-    return out
+    """(n, ndim) float64 positions of the pixels at the given flat indices."""
+    axes = _axis_coordinates(dims)
+    return np.stack([x[i] for x, i in zip(axes, np.unravel_index(flat, dims))], axis=1)
 
 
 def effective_field(grid: ScalarGrid, alpha: float, u) -> ScalarGrid:
     """The field X + alpha * <u, p> whose sublevel sets the soft curve probes."""
-    u = np.asarray(u, dtype=np.float64)
-    shifted = grid.values.ravel() + alpha * (pixel_coordinates(grid.dims) @ u)
-    return ScalarGrid(shifted.reshape(grid.dims))
+    u = np.asarray(u, dtype=np.float64).ravel()
+    _check_direction(grid, u)
+    shifted = grid.values.copy()
+    for a, x in enumerate(_axis_coordinates(grid.dims)):
+        # axis a's vector, shaped to broadcast along axis a
+        shifted += (alpha * u[a]) * x.reshape((-1,) + (1,) * (grid.ndim - 1 - a))
+    return ScalarGrid(shifted)
 
 
 def reparametrize_direction(v) -> np.ndarray:
@@ -125,11 +133,15 @@ def reparametrize_direction_jvp(v, dv) -> np.ndarray:
     return (dv - u * (u @ dv)) / norm
 
 
+def _check_direction(grid: ScalarGrid, u: np.ndarray):
+    if u.size != grid.ndim:
+        raise ValueError(f"direction has {u.size} components for a {grid.ndim}D grid")
+
+
 def _check_shapes(grid: ScalarGrid, coeffs: CoefficientGrid, u: np.ndarray):
     if coeffs.dims != grid.dims:
         raise ValueError(f"coefficient dims {coeffs.dims} != grid dims {grid.dims}")
-    if u.size != grid.ndim:
-        raise ValueError(f"direction has {u.size} components for a {grid.ndim}D grid")
+    _check_direction(grid, u)
 
 
 def _sigmoid_block(taus, lam, field_block):
@@ -154,17 +166,17 @@ def _forward_raw(grid, coeffs, lam, alpha, u, taus: ThresholdSet, workers=1):
     """
     tau_arr = taus.taus
     idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
+    step = max(1, _BLOCK_ENTRIES // tau_arr.size)
 
     def span_sum(start, stop):
         part = np.zeros(tau_arr.size)
-        step = max(1, _BLOCK_ENTRIES // tau_arr.size)
-        for b0 in range(start, stop, step):
-            b1 = min(stop, b0 + step)
+        for b0 in range(start * step, min(stop * step, c.size), step):
+            b1 = min(c.size, b0 + step)
             x, _ = _offsets(grid.dims, alpha, u, idx[b0:b1], vals[b0:b1])
             part += _sigmoid_block(tau_arr, lam, x) @ c[b0:b1].astype(np.float64)
         return part
 
-    return np.sum(np.stack(_fan_out(span_sum, c.size, workers)), axis=0)
+    return np.sum(np.stack(_fan_out(span_sum, -(-c.size // step), workers)), axis=0)
 
 
 def soft_ecc(
@@ -213,13 +225,13 @@ def soft_ecc_backward(
     lam, alpha, u = params.lam, params.alpha, params.u
     idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
     d_values = np.zeros(grid.size)
+    step = max(1, _BLOCK_ENTRIES // ntau)
 
     def span_sums(start, stop):
         dtau_part = np.zeros(ntau)
         du_part = np.zeros(u.size)
-        step = max(1, _BLOCK_ENTRIES // ntau)
-        for b0 in range(start, stop, step):
-            b1 = min(stop, b0 + step)
+        for b0 in range(start * step, min(stop * step, c.size), step):
+            b1 = min(c.size, b0 + step)
             x, pos = _offsets(grid.dims, alpha, u, idx[b0:b1], vals[b0:b1])
             c_blk = c[b0:b1].astype(np.float64)
             s = _sigmoid_block(tau_arr, lam, x)
@@ -232,7 +244,7 @@ def soft_ecc_backward(
                 du_part += (w * c_blk) @ pos
         return dtau_part, du_part
 
-    parts = _fan_out(span_sums, c.size, workers)
+    parts = _fan_out(span_sums, -(-c.size // step), workers)
     d_tau = upstream * np.sum(np.stack([p[0] for p in parts]), axis=0)
     d_u = -alpha * np.sum(np.stack([p[1] for p in parts]), axis=0)
     d_u = d_u - (d_u @ u) * u

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ecckit.coefficients
 from ecckit import ScalarGrid
 
 
@@ -21,3 +22,17 @@ def random_f32_grid(rng, ndim, max_extent):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of the thread pools the library starts during a test."""
+    sizes = []
+    pool = ecckit.coefficients.ThreadPoolExecutor
+
+    def counting_pool(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(ecckit.coefficients, "ThreadPoolExecutor", counting_pool)
+    return sizes

@@ -109,6 +109,12 @@ class TestSoft:
                    "--alpha", "0.4", "--direction", "3,4", "--output", out) == 0
         assert len(read_curve(out)) == 6
 
+    def test_direction_of_wrong_length_rejected(self, grid_file, tmp_path, capsys):
+        code = run("soft", "--input", grid_file, "--bins", "6", "--lambda", "10",
+                   "--direction", "1,0,0", "--output", tmp_path / "soft.csv")
+        assert code == 2
+        assert "direction has 3 components for a 2D grid" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_report_contents(self, tmp_path):

@@ -11,7 +11,6 @@ from ecckit import (
     compute_coefficients,
     oracle_ecc,
     read_coefficients,
-    vertex_order,
     write_coefficients,
 )
 from ecckit.coefficients import _lower_star_coefficients
@@ -129,19 +128,6 @@ class TestInvariants:
             assert np.array_equal(
                 compute_coefficients(g).coeffs, _lower_star_coefficients(g.values)
             )
-
-
-class TestVertexOrder:
-    def test_refines_value_order(self, rng):
-        g = random_int_grid(rng, 2, 8)
-        order = vertex_order(g)
-        flat = g.values.ravel()
-        sorted_vals = flat[order]
-        assert (np.diff(sorted_vals) >= 0).all()
-        # ties resolved by linear index
-        for i in range(len(order) - 1):
-            if sorted_vals[i] == sorted_vals[i + 1]:
-                assert order[i] < order[i + 1]
 
 
 class TestCoefficientFiles:

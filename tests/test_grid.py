@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ecckit import (
     CorruptionError,
@@ -12,10 +10,8 @@ from ecckit import (
     FormatError,
     ScalarGrid,
     ThresholdSet,
-    flatten_index,
     read_curve,
     read_grid,
-    unflatten_index,
     uniform_thresholds,
     write_curve,
     write_grid,
@@ -52,28 +48,6 @@ class TestScalarGrid:
     def test_single_pixel_is_2d(self):
         g = ScalarGrid([[5.0]])
         assert g.dims == (1, 1)
-
-
-class TestIndexing:
-    def test_round_trip_examples(self):
-        assert flatten_index((1, 2), (3, 4)) == 6
-        assert unflatten_index(6, (3, 4)) == (1, 2)
-        assert flatten_index((1, 0, 2), (2, 3, 4)) == 14
-
-    @given(st.lists(st.integers(1, 9), min_size=2, max_size=3), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_bijection(self, dims, data):
-        coords = tuple(data.draw(st.integers(0, d - 1)) for d in dims)
-        k = flatten_index(coords, dims)
-        n = int(np.prod(dims))
-        assert 0 <= k < n
-        assert unflatten_index(k, dims) == coords
-
-    def test_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            flatten_index((3, 0), (3, 4))
-        with pytest.raises(ValueError):
-            unflatten_index(-1, (3, 4))
 
 
 class TestThresholdSet:

@@ -1,4 +1,4 @@
-"""Histogram accumulation: strategies, merging, and oracle equivalence."""
+"""Histogram accumulation: strategies, worker fan-out and oracle equivalence."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,9 @@ import ecckit.hard
 from ecckit import (
     Chunked,
     FullSweep,
-    HistogramBins,
     ScalarGrid,
     ThresholdSet,
-    accumulate_histogram,
-    bin_index,
     compute_ecc,
-    merge_histograms,
     oracle_ecc,
     parse_strategy,
     uniform_thresholds,
@@ -49,90 +45,6 @@ class TestFixtures:
             g = random_int_grid(rng, 2, 10)
             curve = compute_ecc(g, uniform_thresholds(g, 7))
             assert curve.values[-1] == 1
-
-
-class TestBinIndex:
-    def test_first_threshold_inclusive(self):
-        ts = ThresholdSet([1.0, 2.0, 3.0])
-        assert bin_index(1.0, ts) == 0
-
-    def test_above_last_is_none(self):
-        ts = ThresholdSet([1.0, 2.0, 3.0])
-        assert bin_index(3.0 + 1e-12, ts) is None
-
-    def test_interior(self):
-        ts = ThresholdSet([1.0, 2.0, 3.0])
-        assert bin_index(1.5, ts) == 1
-        assert bin_index(0.0, ts) == 0
-
-    def test_matches_linear_scan(self, rng):
-        taus = np.unique(rng.normal(0, 2, 17))
-        ts = ThresholdSet(taus)
-        for x in rng.normal(0, 3, 1000):
-            want = next((j for j, t in enumerate(taus) if x <= t), None)
-            assert bin_index(x, ts) == want
-
-
-class TestMergeHistograms:
-    @staticmethod
-    def _hist(taus, bins, overflow=0):
-        return HistogramBins(np.asarray(taus, float), np.asarray(bins, np.int64), overflow)
-
-    def test_identity_element(self, rng):
-        taus = np.sort(rng.random(5))
-        h = self._hist(taus, rng.integers(-9, 9, 5), 3)
-        zero = self._hist(taus, np.zeros(5, np.int64), 0)
-        merged = merge_histograms([h, zero])
-        assert np.array_equal(merged.bins, h.bins)
-        assert merged.overflow == h.overflow
-
-    @given(st.lists(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
-                    min_size=1, max_size=6), st.randoms())
-    @settings(max_examples=100, deadline=None)
-    def test_permutation_invariance(self, rows, shuffler):
-        taus = np.array([0.0, 1.0, 2.0, 3.0])
-        parts = [self._hist(taus, row, i) for i, row in enumerate(rows)]
-        base = merge_histograms(parts)
-        shuffled = list(parts)
-        shuffler.shuffle(shuffled)
-        again = merge_histograms(shuffled)
-        assert np.array_equal(base.bins, again.bins)
-        assert base.overflow == again.overflow
-
-    def test_partitioned_equals_whole(self, rng):
-        g = random_int_grid(rng, 2, 16)
-        taus = uniform_thresholds(g, 6)
-        whole = accumulate_histogram(g, taus, FullSweep(), workers=1)
-        parts = accumulate_histogram(g, taus, FullSweep(), workers=4)
-        assert np.array_equal(whole.bins, parts.bins)
-        assert whole.overflow == parts.overflow
-
-    def test_mismatched_bin_counts_rejected(self):
-        a = self._hist([0.0, 1.0], [1, 2])
-        b = self._hist([0.0], [1])
-        with pytest.raises(ValueError):
-            merge_histograms([a, b])
-
-    def test_mismatched_taus_rejected(self):
-        a = self._hist([0.0, 1.0], [1, 2])
-        b = self._hist([0.0, 2.0], [1, 2])
-        with pytest.raises(ValueError):
-            merge_histograms([a, b])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            merge_histograms([])
-
-
-class TestHistogramInvariant:
-    def test_total_mass_is_one(self, rng):
-        for trial in range(20):
-            g = random_int_grid(rng, 2 if trial % 2 else 3, 10 if trial % 2 else 5)
-            hi = float(g.values.max())
-            # drop the top of the range so some pixels overflow
-            taus = ThresholdSet([hi / 3, hi / 2]) if hi > 0 else ThresholdSet([0.0])
-            h = accumulate_histogram(g, taus)
-            assert int(h.bins.sum()) + h.overflow == 1
 
 
 class TestStrategyEquivalence:
@@ -220,6 +132,16 @@ class TestCompaction:
                 got = compute_ecc(g, taus, strategy, workers).values
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
                 assert 0 < len(compacted) < len(blocks), (strategy, workers)
+
+
+class TestFanOut:
+    def test_pool_only_for_more_than_one_block(self, rng, pool_sizes):
+        # 256 columns make 256-row blocks
+        for rows, want in ((256, []), (512, [2])):
+            g = ScalarGrid(rng.integers(0, 10, (rows, 256)).astype(np.float64))
+            pool_sizes.clear()
+            compute_ecc(g, uniform_thresholds(g, 9), FullSweep(), workers=8)
+            assert pool_sizes == want, rows
 
 
 class TestValidation:

@@ -17,13 +17,13 @@ from ecckit import (
     effective_field,
     generate_grid,
     gradient_check,
-    pixel_coordinates,
     reparametrize_direction,
     reparametrize_direction_jvp,
     soft_ecc,
     soft_ecc_backward,
     uniform_thresholds,
 )
+import ecckit.soft
 from ecckit.soft import _forward_raw
 
 from conftest import random_int_grid
@@ -155,22 +155,38 @@ class TestParams:
             soft_ecc_backward(g, compute_coefficients(g), p, np.ones(3))
 
 
-class TestPixelCoordinates:
-    def test_range_and_endpoints(self):
-        coords = pixel_coordinates((3, 5))
-        assert coords.shape == (15, 2)
-        assert coords.min() == -1.0 and coords.max() == 1.0
-        assert np.array_equal(coords[0], [-1.0, -1.0])
-        assert np.array_equal(coords[-1], [1.0, 1.0])
+def linspace_positions(dims):
+    """(N, ndim) pixel positions in row-major order from np.linspace and np.meshgrid."""
+    axes = [np.linspace(-1.0, 1.0, d) if d > 1 else np.zeros(1) for d in dims]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+class TestEffectiveField:
+    @pytest.mark.parametrize("dims", [(24, 19), (6, 5, 7), (1, 9), (5, 1, 4)])
+    def test_matches_linspace_meshgrid_formula(self, rng, dims):
+        grid = ScalarGrid(rng.random(dims))
+        u = reparametrize_direction(rng.normal(size=len(dims)))
+        want = grid.values.ravel() + 0.3 * (linspace_positions(dims) @ u)
+        got = effective_field(grid, 0.3, u).values
+        assert got.shape == dims
+        assert np.abs(got.ravel() - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_endpoints(self):
+        zero = ScalarGrid(np.zeros((3, 5)))
+        rows = effective_field(zero, 1.0, [1.0, 0.0]).values
+        cols = effective_field(zero, 1.0, [0.0, 1.0]).values
+        assert (rows[0] == -1.0).all() and (rows[-1] == 1.0).all()
+        assert (cols[:, 0] == -1.0).all() and (cols[:, -1] == 1.0).all()
+        assert rows.min() == -1.0 and rows.max() == 1.0
 
     def test_singleton_axis_maps_to_zero(self):
-        coords = pixel_coordinates((1, 4))
-        assert (coords[:, 0] == 0.0).all()
+        zero = ScalarGrid(np.zeros((1, 4)))
+        assert (effective_field(zero, 1.0, [1.0, 0.0]).values == 0.0).all()
 
-    def test_slices_agree_with_full(self):
-        full = pixel_coordinates((4, 3, 2))
-        part = pixel_coordinates((4, 3, 2), start=5, stop=17)
-        assert np.array_equal(part, full[5:17])
+    @pytest.mark.parametrize("dims, u", [((4, 5), unit(1, 2, 2)), ((3, 4, 5), unit(3, 4))])
+    def test_direction_length_must_match_grid(self, dims, u):
+        with pytest.raises(ValueError, match=f"{len(u)} components for a {len(dims)}D grid"):
+            effective_field(ScalarGrid(np.zeros(dims)), 0.3, u)
 
 
 class TestBackwardClosedForm:
@@ -335,7 +351,7 @@ class TestDeterminism:
 def dense_reference(grid, coeffs, params, upstream):
     """The docstring formulas evaluated at every pixel, zero coefficients included."""
     lam, alpha, u, taus = params.lam, params.alpha, params.u, params.taus.taus
-    pos = pixel_coordinates(grid.dims)
+    pos = linspace_positions(grid.dims)
     field = grid.values.ravel() + alpha * (pos @ u)
     c = coeffs.coeffs.ravel().astype(np.float64)
     s = expit(lam * (taus[:, None] - field[None, :]))
@@ -379,7 +395,10 @@ def reference_cases(rng):
 
 class TestCriticalPixelsMatchDenseFormulas:
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_forward_and_gradients(self, rng, workers):
+    @pytest.mark.parametrize("block_entries", [None, 64])
+    def test_forward_and_gradients(self, rng, monkeypatch, workers, block_entries):
+        if block_entries is not None:  # blocks of a few pixels, many per worker
+            monkeypatch.setattr(ecckit.soft, "_BLOCK_ENTRIES", block_entries)
         fewest = np.inf
         for name, grid, coeffs, params in reference_cases(rng):
             fewest = min(fewest, np.count_nonzero(coeffs.coeffs))
@@ -397,7 +416,7 @@ class TestCriticalPixelsMatchDenseFormulas:
                 scale = max(float(np.abs(ref).max()), 1e-300)
                 err = float(np.abs(got[key] - ref).max())
                 assert err <= 1e-12 * scale, (name, key, workers, err, scale)
-        assert fewest < workers  # some grid leaves a worker without pixels
+        assert fewest < workers  # some grid has fewer critical pixels than workers
 
 
 class TestThresholdScaling:
@@ -417,3 +436,17 @@ class TestThresholdScaling:
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestFanOut:
+    def test_pool_only_for_more_than_one_block(self, rng, pool_sizes):
+        grid = ScalarGrid(rng.random((32, 32)))
+        coeffs = compute_coefficients(grid)
+        # 20,000 thresholds make blocks of 100 of the ~600 critical pixels
+        for ntau, want in ((32, []), (20_000, [3, 3])):
+            taus = ThresholdSet(np.linspace(0.0, 1.0, ntau))
+            params = SoftEccParams(lam=10.0, alpha=0.2, u=unit(1, 2), taus=taus)
+            pool_sizes.clear()
+            soft_ecc(grid, coeffs, params, workers=3)
+            soft_ecc_backward(grid, coeffs, params, np.ones(ntau), workers=3)
+            assert pool_sizes == want, ntau
