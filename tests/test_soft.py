@@ -395,10 +395,17 @@ def reference_cases(rng):
 
 class TestCriticalPixelsMatchDenseFormulas:
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("block_entries", [None, 64])
-    def test_forward_and_gradients(self, rng, monkeypatch, workers, block_entries):
-        if block_entries is not None:  # blocks of a few pixels, many per worker
-            monkeypatch.setattr(ecckit.soft, "_BLOCK_ENTRIES", block_entries)
+    def test_forward_and_gradients(self, rng, workers):
+        self.check_against_dense(rng, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forward_and_gradients_small_blocks(self, rng, monkeypatch, workers):
+        # blocks of a few pixels, many per worker
+        monkeypatch.setattr(ecckit.soft, "_BLOCK_ENTRIES", 64)
+        self.check_against_dense(rng, workers)
+
+    @staticmethod
+    def check_against_dense(rng, workers):
         fewest = np.inf
         for name, grid, coeffs, params in reference_cases(rng):
             fewest = min(fewest, np.count_nonzero(coeffs.coeffs))
