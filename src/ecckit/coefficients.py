@@ -22,6 +22,13 @@ Consequences used by tests and callers:
 * coefficients sum to 1 on any grid (the full complex is contractible);
 * c(p) is determined by the 3x3 (2D) or 3x3x3 (3D) neighborhood of p;
 * attainable ranges are [-3, +1] in 2D and [-5, +7] in 3D.
+
+Coefficients are computed per block of first-axis rows.  A block and its
+one-row halo are copied into a flat float64 buffer padded with +inf (one
+cell after each trailing axis, a margin at either end), so each of the
+3**d - 1 neighbor relations is one contiguous comparison of the buffer
+against a shifted slice of itself.  Neighbors outside the grid read +inf,
+which never precedes a pixel because grid values are finite.
 """
 
 from __future__ import annotations
@@ -72,47 +79,52 @@ def _add(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _lower_masks(values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
-    """For each neighbor offset, the mask of pixels whose neighbor precedes them.
+def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Coefficients (int8) for first-axis rows [r0, r1), reading a one-row halo.
 
-    For in-bounds offsets the sign of the linear-index difference equals the
-    lexicographic sign of the offset tuple, so the index tie-break reduces to
-    an inclusive comparison for lexicographically negative offsets and a
-    strict one for positive offsets.  Positive offsets are derived from their
-    negatives by order antisymmetry (q precedes p iff p does not precede q),
-    shifted back into place with out-of-bounds neighbors forced False.
+    The rows and their halo are copied into one flat float64 buffer of
+    layout ``(r1 - r0 + 2, S1 + 1[, S2 + 1])``, filled with +inf: a halo
+    row missing at the grid's edge, one cell after each trailing axis and
+    a margin of ``sum(strides[1:])`` cells at either end stay +inf.  A
+    neighbor offset is then one fixed flat shift ``s``, and every neighbor
+    outside the grid lands on +inf, which never precedes a grid value
+    because grid values are finite (:class:`ScalarGrid` enforces it).
+
+    Flat order within the buffer is row-major order, so the index
+    tie-break reduces to an inclusive comparison for lexicographically
+    negative offsets and, by antisymmetry, its negation for the opposite
+    offset: one contiguous ``cmp = flat[p - s] <= flat[p]`` over the
+    block's own rows, widened by ``s``, gives both masks as ``cmp[:m]``
+    and ``~cmp[s:]``.  The tie-break is translation invariant, so any row
+    range reproduces the whole-grid coefficients.
     """
     nd = values.ndim
-    shape = values.shape
+    tail = values.shape[1:]
+    rows = r1 - r0
+    shape = (rows + 2,) + tuple(n + 1 for n in tail)
+    strides = [1] * nd
+    for a in range(nd - 2, -1, -1):
+        strides[a] = strides[a + 1] * shape[a + 1]
+    margin = sum(strides[1:])
+    flat = np.full(shape[0] * strides[0] + 2 * margin, np.inf)
+    box = flat[margin : margin + shape[0] * strides[0]].reshape(shape)
+    lo, hi = max(0, r0 - 1), min(values.shape[0], r1 + 1)
+    box[(slice(lo - r0 + 1, hi - r0 + 1),) + tuple(slice(0, n) for n in tail)] = values[lo:hi]
+
+    i0 = margin + strides[0]
+    i1 = i0 + rows * strides[0]
+    m = i1 - i0
     zero = (0,) * nd
-
-    padded = np.full(tuple(s + 2 for s in shape), np.inf)
-    padded[tuple(slice(1, 1 + s) for s in shape)] = values
-
     lower: dict[tuple[int, ...], np.ndarray] = {}
-    offsets = [off for off in product((-1, 0, 1), repeat=nd) if off != zero]
-    for off in offsets:
+    for off in product((-1, 0, 1), repeat=nd):
         if off < zero:
-            sl = tuple(slice(1 + o, 1 + o + s) for o, s in zip(off, shape))
-            lower[off] = padded[sl] <= values
-    for off in offsets:
-        if off > zero:
-            # mask[p] = inverted[p + off], False where p + off leaves the grid
-            inverted = ~lower[tuple(-o for o in off)]
-            mask = np.zeros(shape, dtype=bool)
-            dst = tuple(slice(max(0, -o), s + min(0, -o)) for o, s in zip(off, shape))
-            src = tuple(slice(max(0, o), s + min(0, o)) for o, s in zip(off, shape))
-            mask[dst] = inverted[src]
-            lower[off] = mask
-    return lower
+            s = -sum(o * st for o, st in zip(off, strides))
+            cmp = flat[i0 - s : i1] <= flat[i0 : i1 + s]
+            lower[off] = cmp[:m]
+            lower[tuple(-o for o in off)] = ~cmp[s:]
+    del flat, box
 
-
-def _lower_star_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficient array (int8) for a float64 value array."""
-    nd = values.ndim
-    lower = _lower_masks(values)
-
-    coeffs = np.ones(values.shape, dtype=np.int8)
+    coeffs = np.ones(m, dtype=np.int8)
     for axis in range(nd):
         for sign in (-1, 1):
             coeffs -= lower[_unit(nd, axis, sign)].view(np.int8)
@@ -136,21 +148,7 @@ def _lower_star_coefficients(values: np.ndarray) -> np.ndarray:
             )
             coeffs -= cube.view(np.int8)
 
-    return coeffs
-
-
-def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Coefficients for first-axis rows [r0, r1), reading a one-row halo.
-
-    The index tie-break depends only on the lexicographic sign of the
-    neighbor offset, which is translation invariant, so computing on a
-    cropped box reproduces the full-grid coefficients everywhere the box
-    covers the pixel's whole neighborhood.
-    """
-    lo = max(0, r0 - 1)
-    hi = min(values.shape[0], r1 + 1)
-    box = _lower_star_coefficients(values[lo:hi])
-    return box[r0 - lo : r1 - lo]
+    return coeffs.reshape((rows,) + shape[1:])[(slice(None),) + tuple(slice(0, n) for n in tail)]
 
 
 def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
@@ -189,8 +187,8 @@ def _fan_out(fn, n: int, workers: int) -> list:
 def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:
     """Euler characteristic coefficients of every pixel.
 
-    Processed in first-axis blocks for cache locality; blocks overlap by a
-    single halo row and the result is identical to a whole-grid evaluation.
+    Processed in first-axis blocks for cache locality; each block reads a
+    one-row halo and the result is identical to a whole-grid evaluation.
     """
     values = grid.values
     out = np.empty(values.shape, dtype=np.int8)

@@ -276,7 +276,7 @@ def _read_payload(path, expected_version: int, dtype: str):
 def read_grid(path) -> ScalarGrid:
     """Read a version-1 grid file; inverse of :func:`write_grid`."""
     payload, dims = _read_payload(path, VERSION_SCALAR, "<f4")
-    return ScalarGrid(payload.astype(np.float64).reshape(dims))
+    return ScalarGrid(payload.reshape(dims))
 
 
 def write_grid(grid: ScalarGrid, path) -> None:

@@ -13,8 +13,8 @@ results are bit-identical across strategies and worker counts.
 Two accumulation strategies expose a performance comparison:
 
 * ``FullSweep``: the grid's cache-sized row blocks are statically
-  partitioned among workers, whole blocks each, recomputing a one-row
-  halo per block boundary; each worker scans its blocks once into a
+  partitioned among workers, whole blocks each, every block reading a
+  one-row halo on either side; each worker scans its blocks once into a
   private histogram.  A grid of one block runs on the calling thread.
 * ``Chunked``: a deliberately overhead-faithful baseline that walks fixed
   length chunks of the flat pixel range sequentially, recomputes a
@@ -32,7 +32,6 @@ from .coefficients import (
     _coefficient_rows,
     _critical_pixels,
     _fan_out,
-    _lower_star_coefficients,
     _row_block,
 )
 from .grid import EulerCurve, ScalarGrid, ThresholdSet
@@ -123,7 +122,8 @@ def _chunk_histogram(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int
     box = _flat_range_box(start, stop, grid.dims)
     coords = np.unravel_index(np.arange(start, stop), grid.dims)
     local = tuple(c - s.start for c, s in zip(coords, box))
-    c8 = _lower_star_coefficients(grid.values[box])[local]
+    sub = grid.values[box]
+    c8 = _coefficient_rows(sub, 0, len(sub))[local]
     return _block_counts(grid.values.ravel()[start:stop], c8, taus)
 
 

@@ -1,8 +1,12 @@
 """Lower-star coefficients: exactness against the cell-counting oracle."""
 
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
+import ecckit.coefficients
 from ecckit import (
     COEFF_RANGE,
     CorruptionError,
@@ -13,9 +17,40 @@ from ecckit import (
     read_coefficients,
     write_coefficients,
 )
-from ecckit.coefficients import _lower_star_coefficients
+from ecckit.coefficients import _coefficient_rows, _row_block
 
 from conftest import random_f32_grid, random_int_grid
+
+
+def ownership_coefficients(values):
+    """Brute force: every vertex, edge, square and cube of the cubical
+    complex, each counted with its sign at its highest vertex under
+    (value, row-major index)."""
+    dims = values.shape
+    c = np.zeros(dims, dtype=np.int64)
+    for spans in product((0, 1), repeat=values.ndim):  # axes the cell extends along
+        sign = (-1) ** sum(spans)
+        for base in product(*(range(n - e) for n, e in zip(dims, spans))):
+            corners = product(*((x, x + e) if e else (x,) for x, e in zip(base, spans)))
+            owner = max(corners, key=lambda q: (values[q], np.ravel_multi_index(q, dims)))
+            c[owner] += sign
+    return c
+
+
+THIN_DIMS = [
+    (1, 1), (1, 7), (7, 1), (2, 2), (2, 9), (9, 2), (6, 8),
+    (1, 1, 1), (1, 5, 6), (5, 1, 6), (5, 6, 1), (2, 2, 2),
+    (2, 5, 4), (5, 2, 4), (4, 5, 2), (5, 6, 4),
+]
+
+
+# first-axis block targets in pixels: the default, one-row blocks, a few rows
+# each; small blocks put many block edges, pad cells and halo rows in a grid
+BLOCK_TARGETS = [65536, 1, 24]
+
+
+def use_block_target(monkeypatch, target):
+    monkeypatch.setattr(ecckit.coefficients, "_row_block", lambda dims: _row_block(dims, target))
 
 
 def curve_from_coefficients(grid, coeffs, taus):
@@ -119,15 +154,46 @@ class TestInvariants:
         shifted = compute_coefficients(ScalarGrid(g.values + 17.5)).coeffs
         assert np.array_equal(base, shifted)
 
-    def test_blocked_equals_whole_grid(self, rng):
-        # the public entry point blocks along the first axis; the raw
-        # kernel does not
-        for trial in range(10):
-            nd = 2 if trial % 2 else 3
-            g = random_int_grid(rng, nd, 24 if nd == 2 else 9)
-            assert np.array_equal(
-                compute_coefficients(g).coeffs, _lower_star_coefficients(g.values)
-            )
+    def test_blocked_equals_whole_grid(self, rng, monkeypatch):
+        # the public entry point blocks along the first axis; the
+        # whole-grid reference is the kernel over all rows in one block
+        for target in BLOCK_TARGETS:
+            use_block_target(monkeypatch, target)
+            for trial in range(10):
+                nd = 2 if trial % 2 else 3
+                g = random_int_grid(rng, nd, 24 if nd == 2 else 9)
+                assert np.array_equal(
+                    compute_coefficients(g).coeffs, _coefficient_rows(g.values, 0, g.dims[0])
+                )
+
+
+class TestOwnershipReference:
+    @pytest.mark.parametrize("target", BLOCK_TARGETS)
+    @pytest.mark.parametrize("kind", ["tied", "constant", "random"])
+    def test_equals_per_cell_ownership(self, rng, monkeypatch, kind, target):
+        use_block_target(monkeypatch, target)
+        for dims in THIN_DIMS:
+            if kind == "tied":
+                values = rng.integers(0, 3, dims).astype(np.float64)
+            elif kind == "constant":
+                values = np.full(dims, 2.5)
+            else:
+                values = rng.random(dims)
+            got = compute_coefficients(ScalarGrid(values)).coeffs
+            assert np.array_equal(got, ownership_coefficients(values)), (dims, kind)
+
+
+class TestMemory:
+    def test_single_block_peak(self, rng):
+        g = ScalarGrid(rng.random((256, 256)))
+        assert _row_block(g.dims) == g.dims[0]  # one block
+        tracemalloc.start()
+        try:
+            compute_coefficients(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * g.values.nbytes, f"peak {peak / g.values.nbytes:.2f}x the grid"
 
 
 class TestCoefficientFiles:

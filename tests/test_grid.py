@@ -1,5 +1,7 @@
 """Grid model, thresholds, curve CSV, and file-format round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,20 @@ class TestGridFiles:
             assert np.array_equal(again.values, g.values)
             write_grid(again, path)
             assert path.read_bytes() == first
+
+    def test_read_converts_the_payload_once(self, tmp_path, rng):
+        g = ScalarGrid(rng.random((64, 64, 64)).astype(np.float32))
+        path = tmp_path / "g.eccg"
+        write_grid(g, path)
+        tracemalloc.start()
+        try:
+            back = read_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, g.values)
+        # the file bytes plus one float64 grid, with room for the finiteness check
+        assert peak < path.stat().st_size + 1.5 * g.values.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "g.eccg"
