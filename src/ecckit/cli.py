@@ -52,6 +52,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _parse_sizes(text: str) -> list[tuple[int, ...]]:
+    return [_parse_dims(s) for s in text.split(",")]
+
+
 def _parse_direction(text: str) -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",")], dtype=np.float64)
@@ -76,6 +80,13 @@ def _thresholds(grid: ScalarGrid, args) -> ThresholdSet:
     return uniform_thresholds(grid, args.bins)
 
 
+def _add_thresholds(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--bins", type=int,
+                       help="uniform thresholds over the input grid's value range")
+    group.add_argument("--taus", help="CSV file with one threshold per line")
+
+
 def _direction(grid: ScalarGrid, raw) -> np.ndarray:
     if raw is None:
         axis = np.zeros(grid.ndim)
@@ -98,10 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="exact curve via histogram accumulation")
     p.add_argument("--input", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--bins", type=int,
-                       help="uniform thresholds over the input grid's value range")
-    group.add_argument("--taus", help="CSV file with one threshold per line")
+    _add_thresholds(p)
     p.add_argument("--strategy", type=parse_strategy, default=parse_strategy("fullsweep"),
                    help="fullsweep or chunked:<k>")
     p.add_argument("--workers", type=int, default=1)
@@ -110,18 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact curve via brute-force cell counting")
     p.add_argument("--input", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--bins", type=int,
-                       help="uniform thresholds over the input grid's value range")
-    group.add_argument("--taus")
+    _add_thresholds(p)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("soft", help="smoothed (differentiable) curve")
     p.add_argument("--input", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--bins", type=int,
-                       help="uniform thresholds over the input grid's value range")
-    group.add_argument("--taus")
+    _add_thresholds(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="sigmoid sharpness")
     p.add_argument("--alpha", type=float, default=0.0, help="direction scale")
     p.add_argument("--direction", type=_parse_direction, default=None,
@@ -143,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("bench", help="timing study with a correctness gate")
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--sizes", type=_parse_sizes, required=True,
                    help="comma-separated dims, e.g. 128x128,256x256")
     p.add_argument("--bins", type=int, default=256)
     p.add_argument("--strategies", default="fullsweep,chunked:4096")
@@ -226,12 +228,11 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [_parse_dims(s) for s in args.sizes.split(",")]
     strategies = [parse_strategy(s) for s in args.strategies.split(",")]
     workers = [int(w) for w in args.workers.split(",")]
     try:
         report = bench_mod.run_benchmark(
-            sizes, args.bins, strategies, workers,
+            args.sizes, args.bins, strategies, workers,
             repeats=args.repeats, kind=args.kind, seed=args.seed,
         )
     except bench_mod.ChecksumMismatch as exc:

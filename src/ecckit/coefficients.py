@@ -35,7 +35,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import iadd
 from pathlib import Path
 
 import numpy as np
@@ -167,21 +169,27 @@ def _row_block(dims: tuple[int, ...], target_elems: int = 65536) -> int:
     return int(np.clip(target_elems // max(row, 1), 1, dims[0]))
 
 
-def _fan_out(fn, n: int, workers: int) -> list:
-    """Results of ``fn(start, stop)`` over one contiguous span of range(n) per worker.
+def _fan_out(fn, n: int, step: int, workers: int):
+    """Sum of ``fn(start, stop)`` over the blocks of ``step`` items covering range(n).
 
-    Callers count ``n`` in whole blocks, so block boundaries are the same
-    at every worker count, and input of a single block runs on the calling
-    thread without starting a pool.
+    Each worker takes one contiguous run of whole blocks and adds them, in
+    order and in place, into its first block's result; the worker sums are
+    then added in worker order.  Block boundaries are the same at every
+    worker count, empty input is one empty block ``fn(0, 0)``, and input
+    of a single block runs on the calling thread without starting a pool.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    bounds = np.linspace(0, n, max(1, min(workers, n)) + 1).astype(int).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    if len(spans) == 1:
-        return [fn(*spans[0])]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        return list(pool.map(lambda span: fn(*span), spans))
+    starts = range(0, max(n, 1), step)
+    cuts = np.linspace(0, len(starts), min(workers, len(starts)) + 1).astype(int).tolist()
+
+    def run(b0, b1):
+        return reduce(iadd, (fn(start, min(n, start + step)) for start in starts[b0:b1]))
+
+    if len(cuts) == 2:
+        return run(0, len(starts))
+    with ThreadPoolExecutor(max_workers=len(cuts) - 1) as pool:
+        return reduce(iadd, pool.map(run, cuts[:-1], cuts[1:]))
 
 
 def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:

@@ -5,21 +5,24 @@ covering its value; one internal overflow slot after the last bin takes
 pixels above the last threshold.  A prefix sum over the bins, overflow
 slot excluded, then yields the curve.  Only critical pixels, those with a
 nonzero coefficient, change a bin, so a block that is mostly zeros is
-compacted to them before binning.  Each worker counts into one float64
-histogram whose sums are small integers, hence exact; the worker
-histograms are added in worker order and converted to int64 once, so
-results are bit-identical across strategies and worker counts.
+compacted to them before binning.
 
-Two accumulation strategies expose a performance comparison:
+Both strategies walk the flat pixel range in blocks through one span
+primitive, :func:`_span_counts`: the coefficients of the rows a block
+touches, computed on a view boxed to the block and a one-pixel halo,
+reading its halo rows, are binned into one float64 histogram.  Each
+worker adds whole blocks into a private histogram whose sums are small
+integers, hence exact; the worker histograms are added in worker order
+and converted to int64 once, so results are bit-identical across
+strategies and worker counts.  The strategies differ only in block size
+and worker count:
 
-* ``FullSweep``: the grid's cache-sized row blocks are statically
-  partitioned among workers, whole blocks each, every block reading a
-  one-row halo on either side; each worker scans its blocks once into a
-  private histogram.  A grid of one block runs on the calling thread.
+* ``FullSweep``: cache-sized runs of first-axis rows, statically
+  partitioned among workers, whole blocks each.  A grid of one block
+  runs on the calling thread.
 * ``Chunked``: a deliberately overhead-faithful baseline that walks fixed
-  length chunks of the flat pixel range sequentially, recomputes a
-  one-pixel halo around every chunk, and adds each chunk into the running
-  total after every chunk.
+  length chunks of the flat pixel range on one thread, each chunk on its
+  own halo box and added into the running total.
 """
 from __future__ import annotations
 
@@ -83,48 +86,32 @@ def _block_counts(values, coeffs, taus: ThresholdSet) -> np.ndarray:
     if 4 * np.count_nonzero(coeffs) < coeffs.size:
         _, values, coeffs = _critical_pixels(values, coeffs)
     bins = taus.bin_indices(values.ravel())
-    return np.bincount(bins, weights=coeffs.ravel(), minlength=len(taus) + 1)
+    # bincount returns int64 on empty input, whatever the weights
+    counts = np.bincount(bins, weights=coeffs.ravel(), minlength=len(taus) + 1)
+    return counts.astype(np.float64, copy=False)
 
 
-def _sweep_rows(grid: ScalarGrid, taus: ThresholdSet, b0: int, b1: int) -> np.ndarray:
-    """Float64 coefficient totals per bin, overflow last, of row blocks [b0, b1).
+def _span_counts(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> np.ndarray:
+    """Float64 coefficient totals per bin, overflow last, of the flat pixels [start, stop).
 
-    A block is a run of :func:`_row_block` first-axis rows.
+    Coefficients are computed for the first-axis rows the range touches,
+    on a view boxed on each trailing axis to the range plus a one-pixel
+    halo when the range keeps every earlier coordinate fixed, and to the
+    full extent otherwise.  The range is then one contiguous slice of the
+    raveled result, and a row-aligned range computes exactly its own rows.
     """
     values = grid.values
-    hist = np.zeros(len(taus) + 1)
-    step = _row_block(values.shape)
-    for s0 in range(b0 * step, min(b1 * step, values.shape[0]), step):
-        s1 = min(values.shape[0], s0 + step)
-        hist += _block_counts(values[s0:s1], _coefficient_rows(values, s0, s1), taus)
-    return hist
-
-
-def _flat_range_box(start: int, stop: int, dims) -> tuple[slice, ...]:
-    """Bounding box of the flat index range [start, stop), plus a 1-pixel halo."""
-    first = np.unravel_index(start, dims)
-    last = np.unravel_index(stop - 1, dims)
-    box = []
-    split = False
-    for a, (f, l) in enumerate(zip(first, last)):
-        if split:
-            lo, hi = 0, dims[a]
-        else:
-            lo, hi = int(f), int(l) + 1
-            if f != l:
-                split = True
-        box.append(slice(max(0, lo - 1), min(dims[a], hi + 1)))
-    return tuple(box)
-
-
-def _chunk_histogram(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> np.ndarray:
-    """Float64 histogram of one flat chunk, recomputing coefficients with a halo."""
-    box = _flat_range_box(start, stop, grid.dims)
-    coords = np.unravel_index(np.arange(start, stop), grid.dims)
-    local = tuple(c - s.start for c, s in zip(coords, box))
-    sub = grid.values[box]
-    c8 = _coefficient_rows(sub, 0, len(sub))[local]
-    return _block_counts(grid.values.ravel()[start:stop], c8, taus)
+    first = np.unravel_index(start, grid.dims)
+    last = np.unravel_index(stop - 1, grid.dims)
+    box = [
+        slice(max(0, first[a] - 1), last[a] + 2) if first[:a] == last[:a] else slice(0, None)
+        for a in range(1, grid.ndim)
+    ]
+    coeffs = _coefficient_rows(values[(slice(None), *box)], first[0], last[0] + 1)
+    local = [f - s.start for f, s in zip(first[1:], box)]
+    offset = np.ravel_multi_index([0, *local], coeffs.shape)
+    span = coeffs.ravel()[offset : offset + stop - start]
+    return _block_counts(values.ravel()[start:stop], span, taus)
 
 
 def compute_ecc(
@@ -141,19 +128,12 @@ def compute_ecc(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     if isinstance(strategy, FullSweep):
-        blocks = -(-grid.dims[0] // _row_block(grid.dims))
-        hist, *rest = _fan_out(partial(_sweep_rows, grid, taus), blocks, workers)
-        for part in rest:
-            hist += part
+        step, w = _row_block(grid.dims) * (grid.size // grid.dims[0]), workers
     elif isinstance(strategy, Chunked):
         # Deliberately sequential: models per-chunk synchronization; every
-        # chunk pays a halo recompute plus an add into the running total.
-        hist = np.zeros(len(taus) + 1)
-        n = grid.size
-        for start in range(0, n, strategy.chunk_len):
-            stop = min(n, start + strategy.chunk_len)
-            hist += _chunk_histogram(grid, taus, start, stop)
+        # chunk pays for its own halo box plus an add into the running total.
+        step, w = strategy.chunk_len, 1
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
-
+    hist = _fan_out(partial(_span_counts, grid, taus), grid.size, step, w)
     return EulerCurve(taus.taus, np.cumsum(hist.astype(np.int64)[:-1]))

@@ -24,10 +24,13 @@ Only critical pixels, those with a nonzero coefficient, contribute, so
 each pass compacts the grid to them once and evaluates sigmoids there
 alone; ``d_values`` is zero at every other pixel.  Critical pixels are
 taken in blocks that bound the sigmoid block to ``_BLOCK_ENTRIES``
-entries; each worker accumulates whole blocks in float64, so input of one
-block runs on the calling thread, and the worker partials are summed in a
-fixed order.  Repeated runs at a fixed worker count are bit-identical;
-across worker counts results agree to ~1e-10.
+entries, and the blocks are summed by the block loop the exact path uses
+too: each worker adds a contiguous run of whole blocks in order, in
+float64, and the worker sums are added in worker order; input of one
+block runs on the calling thread.  A backward block returns its
+``d_tau`` and ``d_u`` partials as one array, so that loop sums both.
+Repeated runs at a fixed worker count are bit-identical; across worker
+counts results agree to ~1e-10.
 """
 
 from __future__ import annotations
@@ -166,17 +169,12 @@ def _forward_raw(grid, coeffs, lam, alpha, u, taus: ThresholdSet, workers=1):
     """
     tau_arr = taus.taus
     idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
-    step = max(1, _BLOCK_ENTRIES // tau_arr.size)
 
-    def span_sum(start, stop):
-        part = np.zeros(tau_arr.size)
-        for b0 in range(start * step, min(stop * step, c.size), step):
-            b1 = min(c.size, b0 + step)
-            x, _ = _offsets(grid.dims, alpha, u, idx[b0:b1], vals[b0:b1])
-            part += _sigmoid_block(tau_arr, lam, x) @ c[b0:b1].astype(np.float64)
-        return part
+    def block(b0, b1):
+        x, _ = _offsets(grid.dims, alpha, u, idx[b0:b1], vals[b0:b1])
+        return _sigmoid_block(tau_arr, lam, x) @ c[b0:b1].astype(np.float64)
 
-    return np.sum(np.stack(_fan_out(span_sum, -(-c.size // step), workers)), axis=0)
+    return _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // tau_arr.size), workers)
 
 
 def soft_ecc(
@@ -225,28 +223,22 @@ def soft_ecc_backward(
     lam, alpha, u = params.lam, params.alpha, params.u
     idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
     d_values = np.zeros(grid.size)
-    step = max(1, _BLOCK_ENTRIES // ntau)
 
-    def span_sums(start, stop):
-        dtau_part = np.zeros(ntau)
-        du_part = np.zeros(u.size)
-        for b0 in range(start * step, min(stop * step, c.size), step):
-            b1 = min(c.size, b0 + step)
-            x, pos = _offsets(grid.dims, alpha, u, idx[b0:b1], vals[b0:b1])
-            c_blk = c[b0:b1].astype(np.float64)
-            s = _sigmoid_block(tau_arr, lam, x)
-            sp = s * (1.0 - s)
-            sp *= lam
-            w = upstream @ sp
-            d_values[idx[b0:b1]] = -c_blk * w
-            dtau_part += sp @ c_blk
-            if pos is not None:
-                du_part += (w * c_blk) @ pos
-        return dtau_part, du_part
+    def block(b0, b1):
+        """This block's ``d_tau`` partial followed by its ``d_u`` partial."""
+        x, pos = _offsets(grid.dims, alpha, u, idx[b0:b1], vals[b0:b1])
+        c_blk = c[b0:b1].astype(np.float64)
+        s = _sigmoid_block(tau_arr, lam, x)
+        sp = s * (1.0 - s)
+        sp *= lam
+        w = upstream @ sp
+        d_values[idx[b0:b1]] = -c_blk * w
+        du = np.zeros(u.size) if pos is None else (w * c_blk) @ pos
+        return np.concatenate([sp @ c_blk, du])
 
-    parts = _fan_out(span_sums, -(-c.size // step), workers)
-    d_tau = upstream * np.sum(np.stack([p[0] for p in parts]), axis=0)
-    d_u = -alpha * np.sum(np.stack([p[1] for p in parts]), axis=0)
+    sums = _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // ntau), workers)
+    d_tau = upstream * sums[:ntau]
+    d_u = -alpha * sums[ntau:]
     d_u = d_u - (d_u @ u) * u
     return SoftGradients(d_values.reshape(grid.dims), d_tau, d_u)
 

@@ -154,3 +154,10 @@ class TestBench:
         payload = json.loads(report.read_text())
         assert len(payload["rows"]) == 8
         assert csv_path.read_text().startswith("dims,")
+
+    @pytest.mark.parametrize("sizes", ["12x", "12", "axb", "8x8x8x8", "12x12,7"])
+    def test_bad_size_is_a_usage_error(self, sizes, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "--sizes", sizes)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

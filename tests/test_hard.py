@@ -11,11 +11,13 @@ from ecckit import (
     FullSweep,
     ScalarGrid,
     ThresholdSet,
+    compute_coefficients,
     compute_ecc,
     oracle_ecc,
     parse_strategy,
     uniform_thresholds,
 )
+from ecckit.hard import _block_counts, _span_counts
 
 from conftest import random_f32_grid, random_int_grid
 
@@ -136,12 +138,40 @@ class TestCompaction:
 
 class TestFanOut:
     def test_pool_only_for_more_than_one_block(self, rng, pool_sizes):
-        # 256 columns make 256-row blocks
-        for rows, want in ((256, []), (512, [2])):
+        # 256 columns make 256-row blocks; Chunked stays sequential
+        cases = ((256, FullSweep(), []), (512, FullSweep(), [2]), (512, Chunked(64), []))
+        for rows, strategy, want in cases:
             g = ScalarGrid(rng.integers(0, 10, (rows, 256)).astype(np.float64))
             pool_sizes.clear()
-            compute_ecc(g, uniform_thresholds(g, 9), FullSweep(), workers=8)
-            assert pool_sizes == want, rows
+            compute_ecc(g, uniform_thresholds(g, 9), strategy, workers=8)
+            assert pool_sizes == want, (rows, strategy)
+
+
+class TestSpanCounts:
+    def test_equals_counts_of_whole_grid_coefficients(self, rng):
+        for trial in range(80):
+            g = random_int_grid(rng, 2 + trial % 2, 6, hi=3)
+            taus = uniform_thresholds(g, 5)
+            values = g.values.ravel()
+            coeffs = compute_coefficients(g).coeffs.ravel()
+            n, line, plane = g.size, g.dims[-1], g.size // g.dims[0]
+            spans = [(0, n)]
+            for _ in range(4):
+                start = int(rng.integers(0, n))
+                spans.append((start, start + 1))
+                for extent in (line, plane):  # within the last-axis line or first-axis row
+                    lo = start - start % extent
+                    spans.append(tuple(sorted(rng.integers(lo, lo + extent + 1, 2))))
+                spans.append((start, int(rng.integers(start, n)) + 1))
+                if g.dims[0] > 1:  # from one first-axis row into a later one
+                    first = int(rng.integers(0, n - plane))
+                    spans.append((first, int(rng.integers(first - first % plane + plane, n)) + 1))
+            for start, stop in spans:
+                if start == stop:
+                    continue
+                want = _block_counts(values[start:stop], coeffs[start:stop], taus)
+                got = _span_counts(g, taus, start, stop)
+                assert got.tobytes() == want.tobytes(), (g.dims, start, stop)
 
 
 class TestValidation:
