@@ -49,7 +49,6 @@ from .soft import (
     effective_field,
     gradient_check,
     reparametrize_direction,
-    reparametrize_direction_jvp,
     soft_ecc,
     soft_ecc_backward,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "read_curve",
     "read_grid",
     "reparametrize_direction",
-    "reparametrize_direction_jvp",
     "run_benchmark",
     "soft_ecc",
     "soft_ecc_backward",

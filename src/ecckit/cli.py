@@ -56,6 +56,24 @@ def _parse_sizes(text: str) -> list[tuple[int, ...]]:
     return [_parse_dims(s) for s in text.split(",")]
 
 
+def _parse_strategy(text: str):
+    try:
+        return parse_strategy(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not fullsweep or chunked:<k>")
+
+
+def _parse_strategies(text: str) -> list:
+    return [_parse_strategy(s) for s in text.split(",")]
+
+
+def _parse_workers(text: str) -> list[int]:
+    try:
+        return [int(w) for w in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of ints")
+
+
 def _parse_direction(text: str) -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",")], dtype=np.float64)
@@ -110,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="exact curve via histogram accumulation")
     p.add_argument("--input", required=True)
     _add_thresholds(p)
-    p.add_argument("--strategy", type=parse_strategy, default=parse_strategy("fullsweep"),
+    p.add_argument("--strategy", type=_parse_strategy, default="fullsweep",
                    help="fullsweep or chunked:<k>")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", required=True)
@@ -148,8 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_parse_sizes, required=True,
                    help="comma-separated dims, e.g. 128x128,256x256")
     p.add_argument("--bins", type=int, default=256)
-    p.add_argument("--strategies", default="fullsweep,chunked:4096")
-    p.add_argument("--workers", default="1")
+    p.add_argument("--strategies", type=_parse_strategies, default="fullsweep,chunked:4096",
+                   help="comma-separated fullsweep or chunked:<k>")
+    p.add_argument("--workers", type=_parse_workers, default="1",
+                   help="comma-separated worker counts, e.g. 1,2")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--kind", choices=KINDS, default="uniform-random")
     p.add_argument("--seed", type=int, default=0)
@@ -228,11 +248,9 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    strategies = [parse_strategy(s) for s in args.strategies.split(",")]
-    workers = [int(w) for w in args.workers.split(",")]
     try:
         report = bench_mod.run_benchmark(
-            args.sizes, args.bins, strategies, workers,
+            args.sizes, args.bins, args.strategies, args.workers,
             repeats=args.repeats, kind=args.kind, seed=args.seed,
         )
     except bench_mod.ChecksumMismatch as exc:

@@ -33,6 +33,7 @@ which never precedes a pixel because grid values are finite.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -67,10 +68,6 @@ class CoefficientGrid:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.coeffs.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.coeffs.ndim
 
 
 def _unit(nd: int, axis: int, sign: int) -> tuple[int, ...]:
@@ -163,32 +160,32 @@ def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
 
 def _row_block(dims: tuple[int, ...], target_elems: int = 65536) -> int:
     """First-axis block height keeping a block roughly cache-sized."""
-    row = 1
-    for s in dims[1:]:
-        row *= s
+    row = math.prod(dims[1:])
     return int(np.clip(target_elems // max(row, 1), 1, dims[0]))
 
 
 def _fan_out(fn, n: int, step: int, workers: int):
     """Sum of ``fn(start, stop)`` over the blocks of ``step`` items covering range(n).
 
-    Each worker takes one contiguous run of whole blocks and adds them, in
-    order and in place, into its first block's result; the worker sums are
-    then added in worker order.  Block boundaries are the same at every
-    worker count, empty input is one empty block ``fn(0, 0)``, and input
-    of a single block runs on the calling thread without starting a pool.
+    Of ``nb`` blocks, worker k of w takes blocks ``nb * k // w`` up to
+    ``nb * (k + 1) // w`` and adds them, in order and in place, into its
+    first block's result; the worker sums are then added in worker order.
+    Block boundaries are the same at every worker count, empty input is
+    one empty block ``fn(0, 0)``, and input of a single block runs on the
+    calling thread without starting a pool.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     starts = range(0, max(n, 1), step)
-    cuts = np.linspace(0, len(starts), min(workers, len(starts)) + 1).astype(int).tolist()
+    w = min(workers, len(starts))
+    cuts = [len(starts) * k // w for k in range(w + 1)]
 
     def run(b0, b1):
         return reduce(iadd, (fn(start, min(n, start + step)) for start in starts[b0:b1]))
 
-    if len(cuts) == 2:
+    if w == 1:
         return run(0, len(starts))
-    with ThreadPoolExecutor(max_workers=len(cuts) - 1) as pool:
+    with ThreadPoolExecutor(max_workers=w) as pool:
         return reduce(iadd, pool.map(run, cuts[:-1], cuts[1:]))
 
 

@@ -26,6 +26,7 @@ ones.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -260,9 +261,7 @@ def _read_payload(path, expected_version: int, dtype: str):
         raise FormatError(
             f"{path}: version {version}, expected {expected_version}"
         )
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     itemsize = np.dtype(dtype).itemsize
     if len(data) - offset != count * itemsize:
         raise CorruptionError(

@@ -21,9 +21,11 @@ the tangent space of the unit sphere at ``u``, which is the chain rule
 through :func:`reparametrize_direction` evaluated on the sphere.
 
 Only critical pixels, those with a nonzero coefficient, contribute, so
-each pass compacts the grid to them once and evaluates sigmoids there
-alone; ``d_values`` is zero at every other pixel.  Critical pixels are
-taken in blocks that bound the sigmoid block to ``_BLOCK_ENTRIES``
+each pass compacts the grid once to their flat index, value and
+coefficient arrays and evaluates sigmoids there alone; ``d_values`` is
+zero at every other pixel.  :func:`gradient_check` compacts once too and
+probes by bumping one entry of a copy of those arrays.  Critical pixels
+are taken in blocks that bound the sigmoid block to ``_BLOCK_ENTRIES``
 entries, and the blocks are summed by the block loop the exact path uses
 too: each worker adds a contiguous run of whole blocks in order, in
 float64, and the worker sums are added in worker order; input of one
@@ -88,21 +90,15 @@ class SoftGradients:
     d_u: np.ndarray
 
 
-def _axis_coordinates(dims) -> list[np.ndarray]:
-    """Per axis, the positions of its pixels mapped into [-1, 1].
-
-    Axes of extent 1 map to 0.
-    """
-    return [
-        np.zeros(1) if d == 1 else np.arange(d) * (2.0 / (d - 1)) - 1.0
-        for d in dims
-    ]
+def _axis_coordinates(i: np.ndarray, d: int) -> np.ndarray:
+    """Indices i along an axis of extent d mapped into [-1, 1]; 0 when d is 1."""
+    return np.zeros(i.shape) if d == 1 else i * (2.0 / (d - 1)) - 1.0
 
 
 def _positions(dims, flat: np.ndarray) -> np.ndarray:
     """(n, ndim) float64 positions of the pixels at the given flat indices."""
-    axes = _axis_coordinates(dims)
-    return np.stack([x[i] for x, i in zip(axes, np.unravel_index(flat, dims))], axis=1)
+    index = np.unravel_index(flat, dims)
+    return np.stack([_axis_coordinates(i, d) for i, d in zip(index, dims)], axis=1)
 
 
 def effective_field(grid: ScalarGrid, alpha: float, u) -> ScalarGrid:
@@ -110,8 +106,9 @@ def effective_field(grid: ScalarGrid, alpha: float, u) -> ScalarGrid:
     u = np.asarray(u, dtype=np.float64).ravel()
     _check_direction(grid, u)
     shifted = grid.values.copy()
-    for a, x in enumerate(_axis_coordinates(grid.dims)):
+    for a, d in enumerate(grid.dims):
         # axis a's vector, shaped to broadcast along axis a
+        x = _axis_coordinates(np.arange(d), d)
         shifted += (alpha * u[a]) * x.reshape((-1,) + (1,) * (grid.ndim - 1 - a))
     return ScalarGrid(shifted)
 
@@ -125,26 +122,17 @@ def reparametrize_direction(v) -> np.ndarray:
     return v / norm
 
 
-def reparametrize_direction_jvp(v, dv) -> np.ndarray:
-    """Jacobian-vector product of :func:`reparametrize_direction` at v."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    dv = np.asarray(dv, dtype=np.float64).ravel()
-    norm = float(np.linalg.norm(v))
-    if norm <= 1e-12:
-        raise ValueError(f"direction vector too close to zero (norm {norm!r})")
-    u = v / norm
-    return (dv - u * (u @ dv)) / norm
-
-
 def _check_direction(grid: ScalarGrid, u: np.ndarray):
     if u.size != grid.ndim:
         raise ValueError(f"direction has {u.size} components for a {grid.ndim}D grid")
 
 
-def _check_shapes(grid: ScalarGrid, coeffs: CoefficientGrid, u: np.ndarray):
+def _critical_set(grid: ScalarGrid, coeffs: CoefficientGrid, u: np.ndarray):
+    """``_critical_pixels`` of grid and coefficients, once their shapes and ``u`` agree."""
     if coeffs.dims != grid.dims:
         raise ValueError(f"coefficient dims {coeffs.dims} != grid dims {grid.dims}")
     _check_direction(grid, u)
+    return _critical_pixels(grid.values, coeffs.coeffs)
 
 
 def _sigmoid_block(taus, lam, field_block):
@@ -161,17 +149,15 @@ def _offsets(dims, alpha, u, idx, vals):
     return vals + alpha * (pos @ u), pos
 
 
-def _forward_raw(grid, coeffs, lam, alpha, u, taus: ThresholdSet, workers=1):
-    """Smoothed curve values for a possibly non-unit direction vector.
+def _forward_raw(dims, idx, vals, c, lam, alpha, u, tau_arr, workers=1):
+    """Smoothed curve values of the critical pixels ``(idx, vals, c)``.
 
-    Shared by the public forward and by finite-difference probes, which
-    must evaluate at off-sphere directions.
+    ``u`` may be a non-unit vector: finite-difference probes call this
+    with one value, threshold or direction component bumped in a copy.
     """
-    tau_arr = taus.taus
-    idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
 
     def block(b0, b1):
-        x, _ = _offsets(grid.dims, alpha, u, idx[b0:b1], vals[b0:b1])
+        x, _ = _offsets(dims, alpha, u, idx[b0:b1], vals[b0:b1])
         return _sigmoid_block(tau_arr, lam, x) @ c[b0:b1].astype(np.float64)
 
     return _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // tau_arr.size), workers)
@@ -187,10 +173,12 @@ def soft_ecc(
 
     ``coeffs`` is expected to come from the effective field (see
     :func:`effective_field`); it is accepted explicitly so that callers can
-    hold it fixed, e.g. during finite-difference probes.
+    hold it fixed.
     """
-    _check_shapes(grid, coeffs, params.u)
-    chi = _forward_raw(grid, coeffs, params.lam, params.alpha, params.u, params.taus, workers)
+    idx, vals, c = _critical_set(grid, coeffs, params.u)
+    chi = _forward_raw(
+        grid.dims, idx, vals, c, params.lam, params.alpha, params.u, params.taus.taus, workers
+    )
     return EulerCurve(params.taus.taus, chi)
 
 
@@ -213,7 +201,7 @@ def soft_ecc_backward(
 
     Coefficients are treated as constants.
     """
-    _check_shapes(grid, coeffs, params.u)
+    idx, vals, c = _critical_set(grid, coeffs, params.u)
     upstream = np.asarray(upstream, dtype=np.float64).ravel()
     ntau = len(params.taus)
     if upstream.size != ntau:
@@ -221,7 +209,6 @@ def soft_ecc_backward(
 
     tau_arr = params.taus.taus
     lam, alpha, u = params.lam, params.alpha, params.u
-    idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
     d_values = np.zeros(grid.size)
 
     def block(b0, b1):
@@ -255,9 +242,12 @@ def gradient_check(
     """Compare the analytic backward pass against central finite differences.
 
     Coefficients are computed once from the effective field and held fixed,
-    matching the backward pass's constant-coefficient model.  The direction
-    is probed as a free vector and the difference quotient is projected
-    onto the tangent space, which is what the backward pass reports.
+    matching the backward pass's constant-coefficient model.  Only critical
+    pixels are probed: the curve does not depend on the value of a pixel
+    with a zero coefficient, so there the difference quotient is 0, as is
+    ``d_values``.  The direction is probed as a free vector and the
+    difference quotient is projected onto the tangent space, which is what
+    the backward pass reports.
 
     Differences use the fourth-order central stencil at the given step:
     second-order truncation grows like (sharpness * step)^2 and at
@@ -278,58 +268,29 @@ def gradient_check(
     coeffs = compute_coefficients(effective_field(grid, params.alpha, params.u))
     grads = soft_ecc_backward(grid, coeffs, params, upstream, workers)
 
-    lam, alpha, u, taus = params.lam, params.alpha, params.u, params.taus
+    lam, alpha, u, tau_arr = params.lam, params.alpha, params.u, params.taus.taus
+    idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
 
-    def loss(values=None, tau_arr=None, u_vec=None):
-        g = grid if values is None else ScalarGrid(values)
-        t = taus if tau_arr is None else ThresholdSet(tau_arr)
-        vec = u if u_vec is None else u_vec
-        return float(upstream @ _forward_raw(g, coeffs, lam, alpha, vec, t, workers))
-
-    floor = 1e-4
+    def loss(vals=vals, taus=tau_arr, u=u):
+        return float(upstream @ _forward_raw(grid.dims, idx, vals, c, lam, alpha, u, taus, workers))
 
     def rel(a, fd):
-        return np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), floor)
+        return np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-4)
 
-    def central4(evaluate):
-        # evaluate(offset) -> loss with one scalar parameter shifted by offset
-        return (
-            -evaluate(2 * step)
-            + 8 * evaluate(step)
-            - 8 * evaluate(-step)
-            + evaluate(-2 * step)
-        ) / (12 * step)
+    def central4(array, i, probe):
+        """Fourth-order central difference of ``probe`` in ``array[i]``."""
+
+        def at(offset):
+            bumped = array.copy()
+            bumped[i] += offset
+            return probe(bumped)
+
+        return (-at(2 * step) + 8 * at(step) - 8 * at(-step) + at(-2 * step)) / (12 * step)
 
     fd_values = np.zeros(grid.size)
-    base = grid.values.ravel()
-    for i in range(grid.size):
-
-        def probe_value(offset, i=i):
-            bumped = base.copy()
-            bumped[i] += offset
-            return loss(values=bumped.reshape(grid.dims))
-
-        fd_values[i] = central4(probe_value)
-
-    fd_tau = np.zeros(len(taus))
-    for j in range(len(taus)):
-
-        def probe_tau(offset, j=j):
-            bumped = taus.taus.copy()
-            bumped[j] += offset
-            return loss(tau_arr=bumped)
-
-        fd_tau[j] = central4(probe_tau)
-
-    fd_u = np.zeros(u.size)
-    for a in range(u.size):
-
-        def probe_u(offset, a=a):
-            bumped = u.copy()
-            bumped[a] += offset
-            return loss(u_vec=bumped)
-
-        fd_u[a] = central4(probe_u)
+    fd_values[idx] = [central4(vals, k, lambda v: loss(vals=v)) for k in range(idx.size)]
+    fd_tau = np.array([central4(tau_arr, j, lambda t: loss(taus=t)) for j in range(tau_arr.size)])
+    fd_u = np.array([central4(u, a, lambda w: loss(u=w)) for a in range(u.size)])
     fd_u_proj = fd_u - (fd_u @ u) * u
 
     report = {

@@ -8,6 +8,7 @@ file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,7 @@ class SyntheticSpec:
 
     @property
     def size(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
 
 def _index_grids(dims):

@@ -77,6 +77,15 @@ class TestCompute:
             run("compute", "--input", grid_file, "--bins", "4",
                 "--taus", "x.csv", "--output", tmp_path / "c.csv")
 
+    @pytest.mark.parametrize("strategy", ["chunked:x", "chunked:0", "sideways"])
+    def test_bad_strategy_is_a_usage_error(self, grid_file, tmp_path, strategy, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("compute", "--input", grid_file, "--bins", "4", "--strategy", strategy,
+                "--output", tmp_path / "c.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--strategy" in err and "fullsweep or chunked:<k>" in err
+
     def test_malformed_input_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.eccg"
         bad.write_bytes(b"NOPE" + bytes(20))
@@ -161,3 +170,16 @@ class TestBench:
             run("bench", "--sizes", sizes)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, text, form", [
+        ("--strategies", "chunked:x", "fullsweep or chunked:<k>"),
+        ("--strategies", "fullsweep,chunked:", "fullsweep or chunked:<k>"),
+        ("--workers", "a", "comma list of ints"),
+        ("--workers", "1,", "comma list of ints"),
+    ])
+    def test_bad_strategy_or_workers_is_a_usage_error(self, option, text, form, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "--sizes", "8x8", option, text)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and option in err and form in err

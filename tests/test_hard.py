@@ -1,10 +1,13 @@
 """Histogram accumulation: strategies, worker fan-out and oracle equivalence."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecckit.coefficients
 import ecckit.hard
 from ecckit import (
     Chunked,
@@ -17,6 +20,7 @@ from ecckit import (
     parse_strategy,
     uniform_thresholds,
 )
+from ecckit.coefficients import _fan_out
 from ecckit.hard import _block_counts, _span_counts
 
 from conftest import random_f32_grid, random_int_grid
@@ -145,6 +149,22 @@ class TestFanOut:
             pool_sizes.clear()
             compute_ecc(g, uniform_thresholds(g, 9), strategy, workers=8)
             assert pool_sizes == want, (rows, strategy)
+
+    def test_workers_take_exact_integer_shares_of_blocks(self, monkeypatch):
+        spans = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def map(self, fn, *starts_and_stops):
+                spans.extend(zip(*starts_and_stops))
+                return super().map(fn, *starts_and_stops)
+
+        monkeypatch.setattr(ecckit.coefficients, "ThreadPoolExecutor", RecordingPool)
+        # 30 blocks over 22 workers: the first 11 workers hold exactly 15
+        total = _fan_out(lambda start, stop: np.ones(1), 30, 1, 22)
+        assert total[0] == 30
+        assert len(spans) == 22 and spans[0][0] == 0 and spans[-1][1] == 30
+        assert all(b0 < b1 for b0, b1 in spans)
+        assert spans[10][1] == 15
 
 
 class TestSpanCounts:

@@ -1,6 +1,7 @@
 """Smoothed curves: forward values, analytic gradients, direction handling."""
 
 import tracemalloc
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -18,12 +19,12 @@ from ecckit import (
     generate_grid,
     gradient_check,
     reparametrize_direction,
-    reparametrize_direction_jvp,
     soft_ecc,
     soft_ecc_backward,
     uniform_thresholds,
 )
 import ecckit.soft
+from ecckit.coefficients import _critical_pixels
 from ecckit.soft import _forward_raw
 
 from conftest import random_int_grid
@@ -208,12 +209,16 @@ class TestBackwardClosedForm:
 
 
 def finite_difference_reference(grid, coeffs, params, upstream, step=1e-4):
-    """Independent central differences through the forward pass only."""
+    """Independent central differences through the forward pass only.
+
+    Every pixel is probed and every probe compacts its bumped grid anew,
+    so a nonzero ``d_values`` off the critical set would show.
+    """
     lam, alpha, u, taus = params.lam, params.alpha, params.u, params.taus
 
-    def loss(values=grid.values, tau_arr=None, u_vec=u):
-        t = taus if tau_arr is None else ThresholdSet(tau_arr)
-        return float(upstream @ _forward_raw(ScalarGrid(values), coeffs, lam, alpha, u_vec, t))
+    def loss(values=grid.values, tau_arr=taus.taus, u_vec=u):
+        idx, vals, c = _critical_pixels(values, coeffs.coeffs)
+        return float(upstream @ _forward_raw(grid.dims, idx, vals, c, lam, alpha, u_vec, tau_arr))
 
     d_values = np.zeros(grid.size)
     flat = grid.values.ravel()
@@ -290,6 +295,24 @@ class TestGradientsAgainstFiniteDifferences:
         assert report["d_u"] <= 1e-4
         assert report["tangency"] <= 1e-8
 
+    def test_builtin_harness_on_thresholds_closer_than_the_step(self, rng):
+        g = ScalarGrid(rng.random((6, 6)))
+        u = reparametrize_direction(rng.normal(size=2))
+        taus = ThresholdSet([0.3, 0.3001, 0.5, 0.7])
+        report = gradient_check(g, SoftEccParams(lam=10.0, alpha=0.3, u=u, taus=taus))
+        assert report["pass"], report
+
+    def test_builtin_harness_probes_critical_pixels_only(self, rng, monkeypatch):
+        g = ScalarGrid(rng.integers(0, 10, (12, 10)) / 10.0)
+        u = reparametrize_direction(rng.normal(size=2))
+        params = SoftEccParams(lam=10.0, alpha=0.3, u=u, taus=uniform_thresholds(g, 7))
+        critical = np.count_nonzero(compute_coefficients(effective_field(g, 0.3, u)).coeffs)
+        spy = Mock(wraps=_forward_raw)
+        monkeypatch.setattr(ecckit.soft, "_forward_raw", spy)
+        assert gradient_check(g, params)["pass"]
+        assert 0 < critical < g.size
+        assert spy.call_count == 4 * (critical + len(params.taus) + g.ndim)
+
 
 class TestReparametrization:
     def test_three_four_five(self):
@@ -307,23 +330,6 @@ class TestReparametrization:
             reparametrize_direction([0.0, 0.0])
         with pytest.raises(ValueError):
             reparametrize_direction([1e-13, 0.0])
-
-    def test_jvp_matches_finite_differences(self, rng):
-        for _ in range(20):
-            v = rng.normal(size=3) * rng.uniform(0.5, 3)
-            dv = rng.normal(size=3)
-            step = 1e-6
-            fd = (reparametrize_direction(v + step * dv)
-                  - reparametrize_direction(v - step * dv)) / (2 * step)
-            jvp = reparametrize_direction_jvp(v, dv)
-            denom = max(np.abs(fd).max(), 1e-9)
-            assert np.abs(jvp - fd).max() / denom <= 1e-6
-
-    def test_jvp_in_tangent_space(self, rng):
-        v = rng.normal(size=2) * 2.0
-        jvp = reparametrize_direction_jvp(v, rng.normal(size=2))
-        u = reparametrize_direction(v)
-        assert abs(jvp @ u) <= 1e-12
 
 
 class TestDeterminism:
