@@ -1,8 +1,8 @@
 """Accumulation strategy timing study at desk scale.
 
 Compares the single-sweep strategy against the chunked baseline, which
-computes every chunk's coefficients on its own halo box and merges into
-the global histogram after each one.  Checksums of the resulting curves gate the timings: a
+computes every chunk's coefficients on its own halo box and appends its
+(bin, weight) pairs to the running list.  Checksums of the resulting curves gate the timings: a
 divergence aborts the run.
 
 Run:  python demos/03_benchmark_scaling.py  (takes a minute or so)

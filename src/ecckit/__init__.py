@@ -1,7 +1,7 @@
 """Exact and differentiable Euler characteristic curves on dense grids.
 
 The exact path computes integer curves of 2D/3D scalar fields through
-per-pixel coefficients and a single histogram sweep; a brute-force cell
+per-pixel coefficients and a single counting sweep; a brute-force cell
 counting oracle provides the ground truth it is tested against; the soft
 path smooths the threshold indicator into a sigmoid with an optional
 learnable direction and supplies analytic gradients for field values,

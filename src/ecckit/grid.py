@@ -26,6 +26,7 @@ ones.
 
 from __future__ import annotations
 
+import logging
 import math
 import struct
 from pathlib import Path
@@ -37,6 +38,7 @@ VERSION_SCALAR = 1
 VERSION_COEFF = 2
 
 _HEADER = struct.Struct("<4sBBH")
+_log = logging.getLogger("ecckit")
 
 
 class FormatError(ValueError):
@@ -104,6 +106,17 @@ def _affine_guess(x, t0: float, inv_w: float, nbins: int):
     return pos.astype(np.int64)
 
 
+def _affine_certified(taus, t0: float, inv_w: float, step: int) -> bool:
+    """Whether the affine guess sits in [true - 1, true] at every ``step``-th
+    threshold taus[j], where the true index is j, and just above, where it is j + 1."""
+    n = taus.size
+    j = np.arange(0, n, step)
+    at = _affine_guess(taus[::step], t0, inv_w, n)
+    with np.errstate(over="ignore"):  # above the largest float is inf
+        above = _affine_guess(np.nextafter(taus[::step], np.inf), t0, inv_w, n)
+    return bool(((at <= j) & (at >= j - 1) & (above <= j + 1) & (above >= j)).all())
+
+
 class ThresholdSet:
     """Strictly increasing, finite evaluation thresholds.
 
@@ -113,9 +126,11 @@ class ThresholdSet:
     guess and the true index are both monotone step functions, so checking
     ``true - 1 <= guess <= true`` at every threshold and at the next
     representable float above it implies the bound for every float in
-    between, making guess-plus-bump exact everywhere.  When the
-    certificate fails (thresholds not evenly spaced), binning falls back
-    to binary search.
+    between, making guess-plus-bump exact everywhere.  The same check at
+    about 64 evenly spaced thresholds runs first: a subset of the full
+    certificate, it cheaply rejects most uneven sets and no certified one.
+    When the certificate fails, binning falls back to binary search, and a
+    debug line on the ``ecckit`` logger says so.
     """
 
     def __init__(self, taus):
@@ -129,6 +144,8 @@ class ThresholdSet:
         arr.flags.writeable = False
         self.taus = arr
         self._affine = self._certify_affine()
+        if self._affine is None:
+            _log.debug("%r has no affine certificate; binning by binary search", self)
 
     def __len__(self) -> int:
         return self.taus.size
@@ -139,25 +156,16 @@ class ThresholdSet:
     def _certify_affine(self):
         taus = self.taus
         n = taus.size
-        span = float(taus[-1]) - float(taus[0])
-        if n < 2 or not np.isfinite(span):
+        if n < 2:
             return None
         t0 = float(taus[0])
-        inv_w = (n - 1) / span
-        # true index is j at taus[j] and j+1 just above it; require the
-        # guess to sit in [true - 1, true] at both kinds of breakpoint
-        at = _affine_guess(taus, t0, inv_w, n)
-        with np.errstate(over="ignore"):  # above the largest float is inf
-            above = _affine_guess(np.nextafter(taus, np.inf), t0, inv_w, n)
-        j = np.arange(n)
-        ok = (
-            (at <= j).all()
-            and (at >= j - 1).all()
-            and (above <= j + 1).all()
-            and (above >= j).all()
-        )
+        inv_w = (n - 1) / (float(taus[-1]) - t0)
+        if not 0.0 < inv_w < math.inf:  # the span or its inverse overflows
+            return None
+        if not all(_affine_certified(taus, t0, inv_w, step) for step in (n // 64 + 1, 1)):
+            return None
         # taus padded with +inf, against which a guess past the end is never bumped
-        return (t0, inv_w, np.append(taus, np.inf)) if ok else None
+        return t0, inv_w, np.append(taus, np.inf)
 
     def bin_indices(self, values) -> np.ndarray:
         """For each value, the smallest index j with value <= taus[j].
@@ -170,7 +178,13 @@ class ThresholdSet:
             idx = _affine_guess(v, t0, inv_w, len(self))
             idx += v > padded[idx]
             return idx
-        return np.searchsorted(self.taus, v, side="left")
+        if v.size < 64:
+            return np.searchsorted(self.taus, v, side="left")
+        flat = v.ravel()
+        order = np.argsort(flat)  # each ascending needle's search starts at the last result
+        idx = np.empty_like(order)
+        idx[order] = np.searchsorted(self.taus, flat[order], side="left")
+        return idx.reshape(v.shape)
 
 
 def uniform_thresholds(grid: ScalarGrid, bins: int) -> ThresholdSet:

@@ -1,28 +1,27 @@
-"""Exact Euler characteristic curves by weighted histogram accumulation.
+"""Exact Euler characteristic curves as step functions of the threshold.
 
 Each pixel deposits its coefficient into the bin of the smallest threshold
-covering its value; one internal overflow slot after the last bin takes
-pixels above the last threshold.  A prefix sum over the bins, overflow
-slot excluded, then yields the curve.  Only critical pixels, those with a
-nonzero coefficient, change a bin, so a block that is mostly zeros is
-compacted to them before binning.
+covering its value, with one overflow bin past the last threshold.  Only
+critical pixels, those with a nonzero coefficient, change a bin, and the
+curve, the prefix sum of the bins, changes only where they fall.
 
 Both strategies walk the flat pixel range in blocks through one span
 primitive, :func:`_span_counts`: the coefficients of the rows a block
 touches, computed on a view boxed to the block and a one-pixel halo,
-reading its halo rows, are binned into one float64 histogram.  Each
-worker adds whole blocks into a private histogram whose sums are small
-integers, hence exact; the worker histograms are added in worker order
-and converted to int64 once, so results are bit-identical across
-strategies and worker counts.  The strategies differ only in block size
-and worker count:
+reading its halo rows, are binned into sparse ``(bins, weights)`` pairs.
+No per-threshold array exists until :func:`compute_ecc` merges all pairs
+once, sums the weights per distinct bin, prefix-sums those steps in int64
+and repeats each partial sum up to the next bin, overflow bin dropped.
+Every weight and sum is an integer far below 2**53, hence exact, so
+results are bit-identical across strategies and worker counts.  The
+strategies differ only in block size and worker count:
 
 * ``FullSweep``: cache-sized runs of first-axis rows, statically
   partitioned among workers, whole blocks each.  A grid of one block
   runs on the calling thread.
 * ``Chunked``: a deliberately overhead-faithful baseline that walks fixed
   length chunks of the flat pixel range on one thread, each chunk on its
-  own halo box and added into the running total.
+  own halo box.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ from .grid import EulerCurve, ScalarGrid, ThresholdSet
 
 @dataclass(frozen=True)
 class FullSweep:
-    """Single pass over the grid, one histogram merge per worker."""
+    """Single pass over the grid in cache-sized blocks, split among workers."""
 
     def __str__(self):
         return "fullsweep"
@@ -50,7 +49,7 @@ class FullSweep:
 
 @dataclass(frozen=True)
 class Chunked:
-    """Sequential fixed-size chunks with a global merge after each chunk."""
+    """Sequential fixed-size chunks, each on its own halo box."""
 
     chunk_len: int
 
@@ -74,25 +73,29 @@ def parse_strategy(text: str) -> Strategy:
     raise ValueError(f"unknown strategy {text!r}; expected 'fullsweep' or 'chunked:<k>'")
 
 
-def _block_counts(values, coeffs, taus: ThresholdSet) -> np.ndarray:
-    """Float64 coefficient totals of one block per bin, overflow last.
+def _block_counts(values, coeffs, taus: ThresholdSet) -> list:
+    """A list of one ``(bins, weights)`` pair, the block's coefficient totals by bin.
 
-    A block whose nonzero share is under a quarter is first compacted to
-    its critical pixels; denser blocks are binned whole, since compaction
-    then costs more than binning the zeros.  The weighted count is exact:
-    every partial sum is an integer of magnitude at most 7 * pixels, far
-    below 2**53.
+    A block whose nonzero share is under a quarter, or with fewer pixels
+    than thresholds, is compacted to its critical pixels; denser blocks
+    are binned whole, since compaction then costs more than binning the
+    zeros.  Fewer binned pixels than thresholds give their own bins and
+    coefficients, more a weighted count reduced to its nonzero bins, exact
+    since every partial sum is an integer of magnitude at most 7 * pixels.
+    The list lets ``_fan_out`` concatenate blocks with ``+=``.
     """
-    if 4 * np.count_nonzero(coeffs) < coeffs.size:
+    if 4 * np.count_nonzero(coeffs) < coeffs.size or coeffs.size < len(taus):
         _, values, coeffs = _critical_pixels(values, coeffs)
     bins = taus.bin_indices(values.ravel())
-    # bincount returns int64 on empty input, whatever the weights
-    counts = np.bincount(bins, weights=coeffs.ravel(), minlength=len(taus) + 1)
-    return counts.astype(np.float64, copy=False)
+    if bins.size < len(taus):
+        return [(bins, coeffs.ravel())]
+    counts = np.bincount(bins, weights=coeffs.ravel())
+    nonzero = np.flatnonzero(counts)
+    return [(nonzero, counts[nonzero])]
 
 
-def _span_counts(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> np.ndarray:
-    """Float64 coefficient totals per bin, overflow last, of the flat pixels [start, stop).
+def _span_counts(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> list:
+    """:func:`_block_counts` of the flat pixels [start, stop).
 
     Coefficients are computed for the first-axis rows the range touches,
     on a view boxed on each trailing axis to the range plus a one-pixel
@@ -135,5 +138,12 @@ def compute_ecc(
         step, w = strategy.chunk_len, 1
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
-    hist = _fan_out(partial(_span_counts, grid, taus), grid.size, step, w)
-    return EulerCurve(taus.taus, np.cumsum(hist.astype(np.int64)[:-1]))
+    pairs = _fan_out(partial(_span_counts, grid, taus), grid.size, step, w)
+    bins, weights = (np.concatenate(a) for a in zip(*pairs))
+    at, inverse = np.unique(bins, return_inverse=True)
+    steps = np.bincount(inverse, weights=weights).astype(np.int64)
+    # chi[j] sums the steps at bins <= j: 0 before the first, then each
+    # partial sum up to the next bin or the end, so the overflow bin drops
+    gaps = np.diff(at, prepend=0, append=len(taus))
+    chi = np.repeat(np.concatenate(([0], np.cumsum(steps))), gaps)
+    return EulerCurve(taus.taus, chi)

@@ -22,14 +22,14 @@ through :func:`reparametrize_direction` evaluated on the sphere.
 
 Only critical pixels, those with a nonzero coefficient, contribute, so
 each pass compacts the grid once to their flat index, value and
-coefficient arrays and evaluates sigmoids there alone; ``d_values`` is
-zero at every other pixel.  :func:`gradient_check` compacts once too and
-probes by bumping one entry of a copy of those arrays.  Critical pixels
-are taken in blocks that bound the sigmoid block to ``_BLOCK_ENTRIES``
-entries, and the blocks are summed by the block loop the exact path uses
-too: each worker adds a contiguous run of whole blocks in order, in
-float64, and the worker sums are added in worker order; input of one
-block runs on the calling thread.  A backward block returns its
+coefficient arrays, plus their positions when alpha is nonzero, and
+evaluates sigmoids there alone; ``d_values`` is zero at every other pixel.
+:func:`gradient_check` compacts once too and probes by bumping one entry
+of a copy of those arrays.  Critical pixels are taken in blocks that
+bound the sigmoid block to ``_BLOCK_ENTRIES`` entries, and the blocks are
+summed by the block loop the exact path uses too: each worker adds a
+contiguous run of whole blocks in order, in float64, and the worker sums
+are added in worker order; input of one block runs on the calling thread.  A backward block returns its
 ``d_tau`` and ``d_u`` partials as one array, so that loop sums both.
 Repeated runs at a fixed worker count are bit-identical; across worker
 counts results agree to ~1e-10.
@@ -127,12 +127,13 @@ def _check_direction(grid: ScalarGrid, u: np.ndarray):
         raise ValueError(f"direction has {u.size} components for a {grid.ndim}D grid")
 
 
-def _critical_set(grid: ScalarGrid, coeffs: CoefficientGrid, u: np.ndarray):
-    """``_critical_pixels`` of grid and coefficients, once their shapes and ``u`` agree."""
+def _critical_set(grid: ScalarGrid, coeffs: CoefficientGrid, alpha: float, u: np.ndarray):
+    """``_critical_pixels`` and positions (None at alpha 0) once shapes and ``u`` agree."""
     if coeffs.dims != grid.dims:
         raise ValueError(f"coefficient dims {coeffs.dims} != grid dims {grid.dims}")
     _check_direction(grid, u)
-    return _critical_pixels(grid.values, coeffs.coeffs)
+    idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
+    return idx, vals, c, None if alpha == 0.0 else _positions(grid.dims, idx)
 
 
 def _sigmoid_block(taus, lam, field_block):
@@ -141,23 +142,23 @@ def _sigmoid_block(taus, lam, field_block):
     return expit(z, out=z)
 
 
-def _offsets(dims, alpha, u, idx, vals):
-    """Offsets ``X(p) + alpha * <u, p>`` and positions (None at alpha 0) of pixels idx."""
-    if alpha == 0.0:
-        return vals, None
-    pos = _positions(dims, idx)
-    return vals + alpha * (pos @ u), pos
+def _offsets(alpha, u, pos, vals, b0, b1):
+    """Offsets ``X(p) + alpha * <u, p>`` and positions of critical pixels [b0, b1)."""
+    if pos is None:
+        return vals[b0:b1], None
+    pos = pos[b0:b1]
+    return vals[b0:b1] + alpha * (pos @ u), pos
 
 
-def _forward_raw(dims, idx, vals, c, lam, alpha, u, tau_arr, workers=1):
-    """Smoothed curve values of the critical pixels ``(idx, vals, c)``.
+def _forward_raw(pos, vals, c, lam, alpha, u, tau_arr, workers=1):
+    """Smoothed curve values of the critical pixels ``(vals, c)`` at positions ``pos``.
 
     ``u`` may be a non-unit vector: finite-difference probes call this
     with one value, threshold or direction component bumped in a copy.
     """
 
     def block(b0, b1):
-        x, _ = _offsets(dims, alpha, u, idx[b0:b1], vals[b0:b1])
+        x, _ = _offsets(alpha, u, pos, vals, b0, b1)
         return _sigmoid_block(tau_arr, lam, x) @ c[b0:b1].astype(np.float64)
 
     return _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // tau_arr.size), workers)
@@ -175,10 +176,8 @@ def soft_ecc(
     :func:`effective_field`); it is accepted explicitly so that callers can
     hold it fixed.
     """
-    idx, vals, c = _critical_set(grid, coeffs, params.u)
-    chi = _forward_raw(
-        grid.dims, idx, vals, c, params.lam, params.alpha, params.u, params.taus.taus, workers
-    )
+    _, vals, c, pos = _critical_set(grid, coeffs, params.alpha, params.u)
+    chi = _forward_raw(pos, vals, c, params.lam, params.alpha, params.u, params.taus.taus, workers)
     return EulerCurve(params.taus.taus, chi)
 
 
@@ -201,7 +200,7 @@ def soft_ecc_backward(
 
     Coefficients are treated as constants.
     """
-    idx, vals, c = _critical_set(grid, coeffs, params.u)
+    idx, vals, c, pos = _critical_set(grid, coeffs, params.alpha, params.u)
     upstream = np.asarray(upstream, dtype=np.float64).ravel()
     ntau = len(params.taus)
     if upstream.size != ntau:
@@ -213,14 +212,14 @@ def soft_ecc_backward(
 
     def block(b0, b1):
         """This block's ``d_tau`` partial followed by its ``d_u`` partial."""
-        x, pos = _offsets(grid.dims, alpha, u, idx[b0:b1], vals[b0:b1])
+        x, pos_blk = _offsets(alpha, u, pos, vals, b0, b1)
         c_blk = c[b0:b1].astype(np.float64)
         s = _sigmoid_block(tau_arr, lam, x)
         sp = s * (1.0 - s)
         sp *= lam
         w = upstream @ sp
         d_values[idx[b0:b1]] = -c_blk * w
-        du = np.zeros(u.size) if pos is None else (w * c_blk) @ pos
+        du = np.zeros(u.size) if pos_blk is None else (w * c_blk) @ pos_blk
         return np.concatenate([sp @ c_blk, du])
 
     sums = _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // ntau), workers)
@@ -269,10 +268,10 @@ def gradient_check(
     grads = soft_ecc_backward(grid, coeffs, params, upstream, workers)
 
     lam, alpha, u, tau_arr = params.lam, params.alpha, params.u, params.taus.taus
-    idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
+    idx, vals, c, pos = _critical_set(grid, coeffs, alpha, u)
 
     def loss(vals=vals, taus=tau_arr, u=u):
-        return float(upstream @ _forward_raw(grid.dims, idx, vals, c, lam, alpha, u, taus, workers))
+        return float(upstream @ _forward_raw(pos, vals, c, lam, alpha, u, taus, workers))
 
     def rel(a, fd):
         return np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-4)

@@ -1,9 +1,12 @@
 """Grid model, thresholds, curve CSV, and file-format round trips."""
 
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecckit import (
     CorruptionError,
@@ -18,7 +21,7 @@ from ecckit import (
     write_curve,
     write_grid,
 )
-from ecckit.grid import MAGIC
+from ecckit.grid import MAGIC, _affine_certified
 
 from conftest import random_f32_grid
 
@@ -74,6 +77,10 @@ class TestThresholdSet:
             assert np.array_equal(
                 ts.bin_indices(probes), np.searchsorted(taus, probes, side="left")
             )
+            grid_shaped = probes[:100].reshape(10, 10)
+            assert np.array_equal(
+                ts.bin_indices(grid_shaped), np.searchsorted(taus, grid_shaped, side="left")
+            )
 
     def test_uniform_sets_take_the_fast_path(self, rng):
         for _ in range(50):
@@ -93,6 +100,7 @@ class TestThresholdSet:
             np.array([1e15, 1e15 + 1, 1e15 + 2]),
             np.array([-1e300, 0.0, 1e300]),
             np.array([0.0, 1e-300, 2e-300, 1.0]),
+            np.array([0.0, 5e-324]),  # the inverse of the span overflows
             np.arange(64.0) * 1e-6 + 5e8,
         ]
         for taus in hostile:
@@ -105,6 +113,45 @@ class TestThresholdSet:
                 ts.bin_indices(probes), np.searchsorted(ts.taus, probes, side="left")
             )
 
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(1, 5000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_precheck_never_rejects_a_certified_set(self, a, b, bins):
+        ts = uniform_thresholds(ScalarGrid([[min(a, b), max(a, b)]]), bins)
+        taus, n = ts.taus, len(ts)
+        t0 = float(taus[0])
+        inv_w = (n - 1) / (float(taus[-1]) - t0) if n > 1 else 0.0
+        if not 0.0 < inv_w < np.inf:
+            assert ts._affine is None
+            return
+        full = _affine_certified(taus, t0, inv_w, 1)
+        assert (ts._affine is not None) == full
+        assert _affine_certified(taus, t0, inv_w, n // 64 + 1) or not full
+
+    def test_full_certificate_rejects_a_threshold_moved_between_samples(self, rng):
+        taus = np.linspace(0.0, 1.0, 1000)
+        assert ThresholdSet(taus)._affine is not None
+        step = taus.size // 64 + 1
+        k = step // 2  # not a sampled index
+        taus[k] = taus[k + 1] - 0.1 * (taus[1] - taus[0])  # guess at taus[k] is one too high
+        t0, inv_w = float(taus[0]), (taus.size - 1) / (taus[-1] - taus[0])
+        assert _affine_certified(taus, t0, inv_w, step)
+        ts = ThresholdSet(taus)
+        assert ts._affine is None
+        probes = np.concatenate([taus, np.nextafter(taus, np.inf), rng.uniform(-0.1, 1.1, 500)])
+        assert np.array_equal(ts.bin_indices(probes), np.searchsorted(taus, probes, side="left"))
+
+    def test_search_fallback_is_logged_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="ecckit"):
+            ThresholdSet(np.linspace(0.0, 1.0, 9))
+            assert not caplog.records
+            ThresholdSet(np.geomspace(1.0, 1e6, 20))
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert "binary search" in caplog.records[0].getMessage()
 
 class TestUniformThresholds:
     def test_equal_width_edges(self):

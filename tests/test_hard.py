@@ -26,6 +26,14 @@ from ecckit.hard import _block_counts, _span_counts
 from conftest import random_f32_grid, random_int_grid
 
 
+def dense_reference(g, taus):
+    """Curve from a dense weighted count of whole-grid coefficients, binned by binary search."""
+    coeffs = compute_coefficients(g).coeffs.ravel()
+    bins = np.searchsorted(taus.taus, g.values.ravel(), side="left")
+    counts = np.bincount(bins, weights=coeffs, minlength=len(taus) + 1)
+    return np.cumsum(counts[:-1].astype(np.int64))
+
+
 class TestFixtures:
     def test_center_peak_2d(self):
         vals = np.zeros((3, 3))
@@ -140,6 +148,67 @@ class TestCompaction:
                 assert 0 < len(compacted) < len(blocks), (strategy, workers)
 
 
+class TestStepAssembly:
+    def test_a_million_uneven_thresholds(self, rng):
+        # 300 columns make 218-row blocks, three of them, each with fewer
+        # pixels than thresholds
+        g = ScalarGrid(rng.random((512, 300)).astype(np.float32).astype(np.float64))
+        extra = rng.uniform(-0.5, 1.5, 1_000_000) ** 3
+        taus = ThresholdSet(np.unique(np.concatenate([g.values.ravel()[::2], extra])))
+        assert len(taus) >= 10**6 and taus._affine is None
+        want = dense_reference(g, taus)
+        for strategy in (FullSweep(), Chunked(4096)):
+            for workers in (1, 2, 8):
+                got = compute_ecc(g, taus, strategy, workers).values
+                assert got.dtype == np.int64
+                assert got.tobytes() == want.tobytes(), (strategy, workers)
+
+    def test_sparse_pairs_and_dense_counts_both_run(self, rng, monkeypatch):
+        # 256 columns make 256-row blocks: rows [0, 300) are a plateau with
+        # one dip, compacted to fewer critical pixels than thresholds; the
+        # random rows are binned whole, more pixels than thresholds
+        vals = np.full((512, 256), 4.5)
+        vals[100, 100] = 3.0
+        vals[300:] = rng.integers(0, 1000, (212, 256))
+        g = ScalarGrid(vals)
+        taus = ThresholdSet(np.unique(vals))
+        want = dense_reference(g, taus)
+
+        kinds = []  # list.append is atomic across worker threads
+        block_counts = ecckit.hard._block_counts
+
+        def spy(*args):
+            pairs = block_counts(*args)
+            # sparse pairs carry the int8 coefficients, dense ones float64 counts
+            kinds.append(pairs[0][1].dtype.kind)
+            return pairs
+
+        monkeypatch.setattr(ecckit.hard, "_block_counts", spy)
+        for strategy in (FullSweep(), Chunked(4096)):
+            for workers in (1, 2, 8):
+                kinds.clear()
+                got = compute_ecc(g, taus, strategy, workers).values
+                assert got.tobytes() == want.tobytes(), (strategy, workers)
+                assert sorted(set(kinds)) == ["f", "i"], (strategy, workers)
+
+    def test_thresholds_below_the_grid_and_single_thresholds(self, rng):
+        # 300 rows of 256 columns make two blocks
+        g = ScalarGrid(rng.random((300, 256)).astype(np.float32).astype(np.float64))
+        lo, hi = g.values.min(), g.values.max()
+        middle = ThresholdSet([np.median(g.values)])
+        cases = [
+            (ThresholdSet(lo - np.arange(5.0, 0.0, -1.0)), np.zeros(5)),  # all in overflow
+            (ThresholdSet([lo - 1.0]), [0]),
+            (ThresholdSet([hi]), [1]),
+            (middle, dense_reference(g, middle)),
+        ]
+        for taus, want in cases:
+            for strategy, workers in ((FullSweep(), 1), (FullSweep(), 2), (Chunked(1000), 1)):
+                got = compute_ecc(g, taus, strategy, workers).values
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (taus, strategy, workers)
+
+
 class TestFanOut:
     def test_pool_only_for_more_than_one_block(self, rng, pool_sizes):
         # 256 columns make 256-row blocks; Chunked stays sequential
@@ -167,6 +236,14 @@ class TestFanOut:
         assert spans[10][1] == 15
 
 
+def dense_counts(pairs, taus):
+    """Float64 coefficient total per bin, overflow last, of ``(bins, weights)`` pairs."""
+    hist = np.zeros(len(taus) + 1)
+    for bins, weights in pairs:
+        np.add.at(hist, bins, weights)
+    return hist
+
+
 class TestSpanCounts:
     def test_equals_counts_of_whole_grid_coefficients(self, rng):
         for trial in range(80):
@@ -190,7 +267,8 @@ class TestSpanCounts:
                 if start == stop:
                     continue
                 want = _block_counts(values[start:stop], coeffs[start:stop], taus)
-                got = _span_counts(g, taus, start, stop)
+                want = dense_counts(want, taus)
+                got = dense_counts(_span_counts(g, taus, start, stop), taus)
                 assert got.tobytes() == want.tobytes(), (g.dims, start, stop)
 
 

@@ -25,7 +25,7 @@ from ecckit import (
 )
 import ecckit.soft
 from ecckit.coefficients import _critical_pixels
-from ecckit.soft import _forward_raw
+from ecckit.soft import _forward_raw, _positions
 
 from conftest import random_int_grid
 
@@ -218,7 +218,8 @@ def finite_difference_reference(grid, coeffs, params, upstream, step=1e-4):
 
     def loss(values=grid.values, tau_arr=taus.taus, u_vec=u):
         idx, vals, c = _critical_pixels(values, coeffs.coeffs)
-        return float(upstream @ _forward_raw(grid.dims, idx, vals, c, lam, alpha, u_vec, tau_arr))
+        pos = None if alpha == 0.0 else _positions(grid.dims, idx)
+        return float(upstream @ _forward_raw(pos, vals, c, lam, alpha, u_vec, tau_arr))
 
     d_values = np.zeros(grid.size)
     flat = grid.values.ravel()
