@@ -9,9 +9,9 @@ Both strategies walk the flat pixel range in blocks through one span
 primitive, :func:`_span_counts`: the coefficients of the rows a block
 touches, computed on a view boxed to the block and a one-pixel halo,
 reading its halo rows, are binned into sparse ``(bins, weights)`` pairs.
-No per-threshold array exists until :func:`compute_ecc` merges all pairs
-once, sums the weights per distinct bin, prefix-sums those steps in int64
-and repeats each partial sum up to the next bin, overflow bin dropped.
+:func:`compute_ecc` merges all pairs once: fewer than a quarter of the
+thresholds are summed per distinct bin and each int64 partial sum repeated
+up to the next bin, more are counted densely; the overflow bin drops.
 Every weight and sum is an integer far below 2**53, hence exact, so
 results are bit-identical across strategies and worker counts.  The
 strategies differ only in block size and worker count:
@@ -73,28 +73,39 @@ def parse_strategy(text: str) -> Strategy:
     raise ValueError(f"unknown strategy {text!r}; expected 'fullsweep' or 'chunked:<k>'")
 
 
-def _block_counts(values, coeffs, taus: ThresholdSet) -> list:
-    """A list of one ``(bins, weights)`` pair, the block's coefficient totals by bin.
+class _Pairs(list):
+    """``(bins, weights)`` pairs that ``+=`` concatenates, merged once more than
+    64 are held: a few bytes per critical pixel, not two arrays per block."""
 
-    A block whose nonzero share is under a quarter, or with fewer pixels
-    than thresholds, is compacted to its critical pixels; denser blocks
-    are binned whole, since compaction then costs more than binning the
-    zeros.  Fewer binned pixels than thresholds give their own bins and
-    coefficients, more a weighted count reduced to its nonzero bins, exact
-    since every partial sum is an integer of magnitude at most 7 * pixels.
-    The list lets ``_fan_out`` concatenate blocks with ``+=``.
+    def __iadd__(self, other):
+        super().__iadd__(other)
+        if len(self) > 64:
+            self[:] = [self.merged()]
+        return self
+
+    def merged(self) -> tuple:
+        return tuple(np.concatenate(a) for a in zip(*self))
+
+
+def _block_counts(values, coeffs, taus: ThresholdSet) -> _Pairs:
+    """:class:`_Pairs` of one pair, the block's coefficient totals by bin.
+
+    A block under a quarter nonzero or with fewer pixels than thresholds is
+    compacted to its critical pixels (denser blocks bin their zeros faster).
+    Fewer binned pixels than thresholds give their own bins and coefficients,
+    more a weighted count (integer partial sums, exact) of its nonzero bins.
     """
     if 4 * np.count_nonzero(coeffs) < coeffs.size or coeffs.size < len(taus):
         _, values, coeffs = _critical_pixels(values, coeffs)
     bins = taus.bin_indices(values.ravel())
     if bins.size < len(taus):
-        return [(bins, coeffs.ravel())]
+        return _Pairs([(bins, coeffs.ravel())])
     counts = np.bincount(bins, weights=coeffs.ravel())
     nonzero = np.flatnonzero(counts)
-    return [(nonzero, counts[nonzero])]
+    return _Pairs([(nonzero, counts[nonzero])])
 
 
-def _span_counts(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> list:
+def _span_counts(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> _Pairs:
     """:func:`_block_counts` of the flat pixels [start, stop).
 
     Coefficients are computed for the first-axis rows the range touches,
@@ -134,12 +145,15 @@ def compute_ecc(
         step, w = _row_block(grid.dims) * (grid.size // grid.dims[0]), workers
     elif isinstance(strategy, Chunked):
         # Deliberately sequential: models per-chunk synchronization; every
-        # chunk pays for its own halo box plus an add into the running total.
+        # chunk pays for its own halo box and its own pair of arrays.
         step, w = strategy.chunk_len, 1
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
     pairs = _fan_out(partial(_span_counts, grid, taus), grid.size, step, w)
-    bins, weights = (np.concatenate(a) for a in zip(*pairs))
+    bins, weights = pairs.merged()
+    if 4 * bins.size >= len(taus):  # a dense count: faster than sorting the bins, no larger
+        chi = np.bincount(bins, weights, len(taus) + 1)[:-1].astype(np.int64)
+        return EulerCurve(taus.taus, np.cumsum(chi, out=chi))
     at, inverse = np.unique(bins, return_inverse=True)
     steps = np.bincount(inverse, weights=weights).astype(np.int64)
     # chi[j] sums the steps at bins <= j: 0 before the first, then each

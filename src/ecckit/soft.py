@@ -29,8 +29,9 @@ of a copy of those arrays.  Critical pixels are taken in blocks that
 bound the sigmoid block to ``_BLOCK_ENTRIES`` entries, and the blocks are
 summed by the block loop the exact path uses too: each worker adds a
 contiguous run of whole blocks in order, in float64, and the worker sums
-are added in worker order; input of one block runs on the calling thread.  A backward block returns its
-``d_tau`` and ``d_u`` partials as one array, so that loop sums both.
+are added in worker order; input of one block runs on the calling
+thread.  A backward block returns its ``d_tau`` and ``d_u`` partials as
+one array, so that loop sums both.
 Repeated runs at a fixed worker count are bit-identical; across worker
 counts results agree to ~1e-10.
 """

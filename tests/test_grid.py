@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecckit.grid
 from ecckit import (
     CorruptionError,
     curve_checksum,
@@ -82,6 +83,21 @@ class TestThresholdSet:
                 ts.bin_indices(grid_shaped), np.searchsorted(taus, grid_shaped, side="left")
             )
 
+    def test_large_sets_bin_sorted_values_exactly(self, rng):
+        # 2**16 or more thresholds search the values in sorted order
+        taus = np.unique(rng.normal(0, 5, 70_000) ** 3)
+        ts = ThresholdSet(taus)
+        assert len(ts) >= 1 << 16 and ts._affine is None
+        probes = np.concatenate(
+            [rng.normal(0, 6, 5000) ** 3, taus[::7], np.nextafter(taus[::5], np.inf),
+             np.nextafter(taus[::5], -np.inf), [-np.inf, np.inf, taus[0], taus[-1]]]
+        )
+        rng.shuffle(probes)
+        for shaped in (probes, probes[:6000].reshape(60, 100)):
+            got = ts.bin_indices(shaped)
+            assert got.shape == shaped.shape
+            assert np.array_equal(got, np.searchsorted(taus, shaped, side="left"))
+
     def test_uniform_sets_take_the_fast_path(self, rng):
         for _ in range(50):
             g = random_f32_grid(rng, 2, 16)
@@ -117,7 +133,7 @@ class TestThresholdSet:
     @given(
         st.floats(allow_nan=False, allow_infinity=False),
         st.floats(allow_nan=False, allow_infinity=False),
-        st.integers(1, 5000),
+        st.integers(1, 40_000),
     )
     @settings(max_examples=300, deadline=None)
     def test_sampled_precheck_never_rejects_a_certified_set(self, a, b, bins):
@@ -133,7 +149,7 @@ class TestThresholdSet:
         assert _affine_certified(taus, t0, inv_w, n // 64 + 1) or not full
 
     def test_full_certificate_rejects_a_threshold_moved_between_samples(self, rng):
-        taus = np.linspace(0.0, 1.0, 1000)
+        taus = np.linspace(0.0, 1.0, 20_000)
         assert ThresholdSet(taus)._affine is not None
         step = taus.size // 64 + 1
         k = step // 2  # not a sampled index
@@ -144,6 +160,20 @@ class TestThresholdSet:
         assert ts._affine is None
         probes = np.concatenate([taus, np.nextafter(taus, np.inf), rng.uniform(-0.1, 1.1, 500)])
         assert np.array_equal(ts.bin_indices(probes), np.searchsorted(taus, probes, side="left"))
+
+    def test_precheck_only_where_it_samples(self, monkeypatch):
+        steps = []
+        certified = ecckit.grid._affine_certified
+
+        def spy(taus, t0, inv_w, step):
+            steps.append(step)
+            return certified(taus, t0, inv_w, step)
+
+        monkeypatch.setattr(ecckit.grid, "_affine_certified", spy)
+        for n, want in ((2, [1]), (64, [1]), (16_383, [1]), (16_384, [257, 1]), (64_000, [1001, 1])):
+            steps.clear()
+            assert ThresholdSet(np.linspace(0.0, 1.0, n))._affine is not None
+            assert steps == want, n
 
     def test_search_fallback_is_logged_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="ecckit"):

@@ -1,5 +1,6 @@
 """Histogram accumulation: strategies, worker fan-out and oracle equivalence."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -190,6 +191,36 @@ class TestStepAssembly:
                 got = compute_ecc(g, taus, strategy, workers).values
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
                 assert sorted(set(kinds)) == ["f", "i"], (strategy, workers)
+
+    def test_dense_count_and_sorted_steps_agree(self, rng):
+        # blocks of 218 rows hold fewer pixels than either set has thresholds,
+        # so every critical pixel is one pair: at least a quarter of every
+        # distinct value (dense count), under a quarter of nine times as many
+        g = ScalarGrid(rng.random((512, 300)).astype(np.float32).astype(np.float64))
+        critical = np.count_nonzero(compute_coefficients(g).coeffs)
+        distinct = np.unique(g.values)
+        padded = np.unique(np.concatenate([distinct, rng.uniform(-1.0, 2.0, 8 * distinct.size)]))
+        assert 4 * critical >= distinct.size and 4 * critical < padded.size
+        for taus in (ThresholdSet(distinct), ThresholdSet(padded)):
+            want = dense_reference(g, taus)
+            for strategy, workers in ((FullSweep(), 1), (FullSweep(), 8), (Chunked(4096), 1)):
+                got = compute_ecc(g, taus, strategy, workers).values
+                assert got.dtype == np.int64
+                assert got.tobytes() == want.tobytes(), (len(taus), strategy, workers)
+
+    def test_small_chunks_hold_merged_pairs(self, rng):
+        # one pixel per chunk: held one pair per chunk, 1,024 pairs of
+        # arrays would take about 0.5 MiB
+        g = ScalarGrid(rng.random((32, 32)))
+        taus = uniform_thresholds(g, 256)
+        tracemalloc.start()
+        try:
+            got = compute_ecc(g, taus, Chunked(1)).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == dense_reference(g, taus).tobytes()
+        assert peak < 0.2 * 2**20, peak
 
     def test_thresholds_below_the_grid_and_single_thresholds(self, rng):
         # 300 rows of 256 columns make two blocks
