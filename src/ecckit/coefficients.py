@@ -17,18 +17,24 @@ cell's highest vertex carries its maximum value, summing c(p) over pixels
 with value <= tau reproduces the Euler characteristic of the sublevel-set
 complex at tau exactly, for every tau and regardless of ties.
 
+A cell through p is keyed by its corner farthest from p, an offset in
+{-1, 0, 1}**d.  p owns an edge when that corner precedes p, and a larger
+cell when that corner precedes p and p owns each face of the cell through
+p (the corner with one nonzero entry set to zero), on which all its other
+corners lie.  Each owned cell adds (-1)**dimension to c(p).
+
 Consequences used by tests and callers:
 
 * coefficients sum to 1 on any grid (the full complex is contractible);
 * c(p) is determined by the 3x3 (2D) or 3x3x3 (3D) neighborhood of p;
 * attainable ranges are [-3, +1] in 2D and [-5, +7] in 3D.
 
-Coefficients are computed per block of first-axis rows.  A block and its
-one-row halo are copied into a flat float64 buffer padded with +inf (one
-cell after each trailing axis, a margin at either end), so each of the
-3**d - 1 neighbor relations is one contiguous comparison of the buffer
-against a shifted slice of itself.  Neighbors outside the grid read +inf,
-which never precedes a pixel because grid values are finite.
+Coefficients are computed per block of first-axis rows, in :func:`_fan_out`.
+A block and its one-row halo are copied into a flat float64 buffer padded
+with +inf (one cell after each trailing axis, a margin at either end), so
+each of the 3**d - 1 neighbor relations is one contiguous comparison of
+the buffer against a shifted slice of itself.  Neighbors outside the grid
+read +inf, which never precedes a pixel because grid values are finite.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from operator import iadd
 from pathlib import Path
@@ -70,12 +76,18 @@ class CoefficientGrid:
         return self.coeffs.shape
 
 
-def _unit(nd: int, axis: int, sign: int) -> tuple[int, ...]:
-    return tuple(sign if a == axis else 0 for a in range(nd))
+@cache
+def _cells(nd: int) -> tuple[tuple[int, ...], ...]:
+    """Far corners of the 3**nd - 1 cells through a pixel, by increasing dimension."""
+    corners = (off for off in product((-1, 0, 1), repeat=nd) if any(off))
+    return tuple(sorted(corners, key=lambda off: nd - off.count(0)))
 
 
-def _add(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(u, v))
+@cache
+def _faces(off: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Far corners of the cell's faces through the pixel, save the pixel itself."""
+    faces = (off[:a] + (0,) + off[a + 1 :] for a, o in enumerate(off) if o)
+    return tuple(face for face in faces if any(face))
 
 
 def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
@@ -114,38 +126,23 @@ def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
     i1 = i0 + rows * strides[0]
     m = i1 - i0
     zero = (0,) * nd
-    lower: dict[tuple[int, ...], np.ndarray] = {}
+    # owned[off]: whether corner off precedes p, then, faces ANDed in, whether p owns its cell
+    owned: dict[tuple[int, ...], np.ndarray] = {}
     for off in product((-1, 0, 1), repeat=nd):
         if off < zero:
             s = -sum(o * st for o, st in zip(off, strides))
             cmp = flat[i0 - s : i1] <= flat[i0 : i1 + s]
-            lower[off] = cmp[:m]
-            lower[tuple(-o for o in off)] = ~cmp[s:]
+            owned[off] = cmp[:m]
+            owned[tuple(-o for o in off)] = ~cmp[s:]
     del flat, box
 
     coeffs = np.ones(m, dtype=np.int8)
-    for axis in range(nd):
-        for sign in (-1, 1):
-            coeffs -= lower[_unit(nd, axis, sign)].view(np.int8)
-
-    squares: dict[tuple, np.ndarray] = {}
-    for a in range(nd):
-        for b in range(a + 1, nd):
-            for sa, sb in product((-1, 1), repeat=2):
-                ea, eb = _unit(nd, a, sa), _unit(nd, b, sb)
-                sq = lower[ea] & lower[eb] & lower[_add(ea, eb)]
-                squares[(a, b, sa, sb)] = sq
-                coeffs += sq.view(np.int8)
-
-    if nd == 3:
-        for sx, sy, sz in product((-1, 1), repeat=3):
-            cube = (
-                squares[(0, 1, sx, sy)]
-                & squares[(0, 2, sx, sz)]
-                & squares[(1, 2, sy, sz)]
-                & lower[(sx, sy, sz)]
-            )
-            coeffs -= cube.view(np.int8)
+    for off in _cells(nd):
+        k = nd - off.count(0)
+        cell = owned.pop(off) if k == nd else owned[off]  # a top cell is no cell's face
+        for face in _faces(off):
+            cell &= owned[face]
+        (np.subtract if k % 2 else np.add)(coeffs, cell.view(np.int8), out=coeffs)
 
     return coeffs.reshape((rows,) + shape[1:])[(slice(None),) + tuple(slice(0, n) for n in tail)]
 
@@ -195,13 +192,11 @@ def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:
     Processed in first-axis blocks for cache locality; each block reads a
     one-row halo and the result is identical to a whole-grid evaluation.
     """
-    values = grid.values
-    out = np.empty(values.shape, dtype=np.int8)
-    step = _row_block(values.shape)
-    for r0 in range(0, values.shape[0], step):
-        r1 = min(values.shape[0], r0 + step)
-        out[r0:r1] = _coefficient_rows(values, r0, r1)
-    return CoefficientGrid(out)
+
+    def rows(r0, r1):  # a one-element list: the blocks' sum lists them in order
+        return [_coefficient_rows(grid.values, r0, r1)]
+
+    return CoefficientGrid(np.concatenate(_fan_out(rows, grid.dims[0], _row_block(grid.dims), 1)))
 
 
 def write_coefficients(cg: CoefficientGrid, path) -> None:

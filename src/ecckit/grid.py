@@ -65,7 +65,8 @@ class ScalarGrid:
             raise ValueError(f"grid must be 2D or 3D, got ndim={arr.ndim}")
         if any(s < 1 for s in arr.shape):
             raise ValueError(f"grid extents must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
+        # NaN propagates through min and max, and an infinity is one of them
+        if not np.isfinite([arr.min(), arr.max()]).all():
             raise ValueError("grid values must be finite (no NaN/Inf)")
         arr.flags.writeable = False
         self.values = arr
@@ -140,7 +141,7 @@ class ThresholdSet:
             raise ValueError("threshold set must contain at least one value")
         if not np.isfinite(arr).all():
             raise ValueError("thresholds must be finite")
-        if arr.size > 1 and not (np.diff(arr) > 0).all():
+        if not (arr[1:] > arr[:-1]).all():
             raise ValueError("thresholds must be strictly increasing")
         arr.flags.writeable = False
         self.taus = arr

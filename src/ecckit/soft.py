@@ -49,6 +49,7 @@ from .grid import EulerCurve, ScalarGrid, ThresholdSet
 UNIT_NORM_TOL = 1e-12
 # entries per sigmoid block (~16 MB); a block holds at least one pixel column
 _BLOCK_ENTRIES = 2_000_000
+_GRADCHECK_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -235,9 +236,7 @@ def gradient_check(
     params: SoftEccParams,
     upstream=None,
     step: float = 1e-4,
-    rtol: float = 1e-4,
     seed: int = 0,
-    workers: int = 1,
 ) -> dict:
     """Compare the analytic backward pass against central finite differences.
 
@@ -255,10 +254,10 @@ def gradient_check(
     while the fourth-order residual stays near 1e-8.
 
     Relative errors use ``|a - fd| / max(|a|, |fd|, 1e-4)``; the floor
-    turns the comparison absolute (at rtol * 1e-4) for components whose
-    sigmoid tails are saturated, where a plain ratio would divide by zero.
+    turns the comparison absolute (at 1e-8) for components whose sigmoid
+    tails are saturated, where a plain ratio would divide by zero.
     Returns per-parameter maxima, the tangency residual, and an overall
-    ``pass`` flag at ``rtol``.
+    ``pass`` flag: every maximum at most 1e-4 and the residual at most 1e-8.
     """
     if upstream is None:
         rng = np.random.default_rng(seed)
@@ -266,13 +265,13 @@ def gradient_check(
     upstream = np.asarray(upstream, dtype=np.float64)
 
     coeffs = compute_coefficients(effective_field(grid, params.alpha, params.u))
-    grads = soft_ecc_backward(grid, coeffs, params, upstream, workers)
+    grads = soft_ecc_backward(grid, coeffs, params, upstream)
 
     lam, alpha, u, tau_arr = params.lam, params.alpha, params.u, params.taus.taus
     idx, vals, c, pos = _critical_set(grid, coeffs, alpha, u)
 
     def loss(vals=vals, taus=tau_arr, u=u):
-        return float(upstream @ _forward_raw(pos, vals, c, lam, alpha, u, taus, workers))
+        return float(upstream @ _forward_raw(pos, vals, c, lam, alpha, u, taus))
 
     def rel(a, fd):
         return np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-4)
@@ -300,7 +299,7 @@ def gradient_check(
         "tangency": float(abs(grads.d_u @ u)),
     }
     report["pass"] = bool(
-        max(report["d_values"], report["d_tau"], report["d_u"]) <= rtol
+        max(report["d_values"], report["d_tau"], report["d_u"]) <= _GRADCHECK_RTOL
         and report["tangency"] <= 1e-8
     )
     return report

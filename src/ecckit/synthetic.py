@@ -48,13 +48,13 @@ class SyntheticSpec:
         return math.prod(self.dims)
 
 
-def _index_grids(dims):
-    return np.meshgrid(*(np.arange(d, dtype=np.float64) for d in dims), indexing="ij")
+def _axes(dims):
+    return np.ix_(*(np.arange(d, dtype=np.float64) for d in dims))
 
 
 def _radial_gradient(dims) -> np.ndarray:
     center = [(d - 1) / 2 for d in dims]
-    sq = sum((g - c) ** 2 for g, c in zip(_index_grids(dims), center))
+    sq = sum((x - c) ** 2 for x, c in zip(_axes(dims), center))
     corner = sum(c**2 for c in center)
     if corner == 0:
         return np.zeros(dims)
@@ -64,11 +64,11 @@ def _radial_gradient(dims) -> np.ndarray:
 def _gaussian_blobs(dims, rng, blobs, width) -> np.ndarray:
     if width is None:
         width = max(min(dims) / 8.0, 1.0)
-    grids = _index_grids(dims)
+    axes = _axes(dims)
     field = np.zeros(dims)
     centers = rng.uniform(0, 1, size=(blobs, len(dims))) * (np.array(dims) - 1)
     for c in centers:
-        sq = sum((g - ci) ** 2 for g, ci in zip(grids, c))
+        sq = sum((x - ci) ** 2 for x, ci in zip(axes, c))
         field += np.exp(-sq / (2 * width**2))
     peak = field.max()
     if peak > 0:
@@ -89,4 +89,4 @@ def generate_grid(spec: SyntheticSpec) -> ScalarGrid:
         field = _gaussian_blobs(spec.dims, rng, spec.blobs, spec.blob_width)
     else:
         field = _radial_gradient(spec.dims)
-    return ScalarGrid(field.astype(np.float32).astype(np.float64))
+    return ScalarGrid(field.astype(np.float32))

@@ -17,7 +17,7 @@ from ecckit import (
     read_coefficients,
     write_coefficients,
 )
-from ecckit.coefficients import _coefficient_rows, _row_block
+from ecckit.coefficients import _cells, _coefficient_rows, _faces, _row_block
 
 from conftest import random_f32_grid, random_int_grid
 
@@ -165,6 +165,25 @@ class TestInvariants:
                 assert np.array_equal(
                     compute_coefficients(g).coeffs, _coefficient_rows(g.values, 0, g.dims[0])
                 )
+
+
+class TestOwnershipRule:
+    @pytest.mark.parametrize("nd, count", [(2, 8), (3, 26)])
+    def test_cells_and_their_faces(self, nd, count):
+        def dimension(off):
+            return sum(map(abs, off))
+
+        cells = _cells(nd)
+        assert len(cells) == count
+        assert set(cells) == set(product((-1, 0, 1), repeat=nd)) - {(0,) * nd}
+        dims = [dimension(off) for off in cells]
+        assert dims == sorted(dims)  # every face is visited before its cell
+        for off, k in zip(cells, dims):
+            faces = _faces(off)
+            assert len(faces) == (k if k > 1 else 0), off
+            assert all(dimension(face) == k - 1 for face in faces), off
+            # a face keeps the cell's far corner on every axis it spans
+            assert all(f in (0, o) for face in faces for f, o in zip(face, off)), off
 
 
 class TestOwnershipReference:

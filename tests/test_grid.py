@@ -50,6 +50,21 @@ class TestScalarGrid:
             ScalarGrid([[np.nan, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             ScalarGrid([[np.inf, 0.0], [0.0, 0.0]])
+        for bad in (np.nan, np.inf, -np.inf):  # interior, neither end of the grid
+            values = np.arange(60.0).reshape(3, 4, 5)
+            values[1, 2, 3] = bad
+            with pytest.raises(ValueError):
+                ScalarGrid(values)
+
+    def test_finiteness_check_holds_no_pixel_sized_mask(self, rng):
+        values = rng.random((256, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            g = ScalarGrid(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * g.values.nbytes, f"peak {peak / g.values.nbytes:.3f}x the grid"
 
     def test_single_pixel_is_2d(self):
         g = ScalarGrid([[5.0]])
@@ -66,6 +81,17 @@ class TestThresholdSet:
             ThresholdSet([2.0, 1.0])
         with pytest.raises(ValueError):
             ThresholdSet([0.0, np.inf])
+
+    def test_strictness_check_holds_no_float_copy(self):
+        taus = np.arange(1.0, 2.0**20 + 1) ** 2  # uneven: the sampled pre-check rejects it
+        tracemalloc.start()
+        try:
+            ts = ThresholdSet(taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ts._affine is None
+        assert peak < 1.25 * taus.nbytes, f"peak {peak / taus.nbytes:.3f}x the input"
 
     def test_bin_indices_match_binary_search(self, rng):
         for _ in range(100):
