@@ -30,11 +30,12 @@ Consequences used by tests and callers:
 * attainable ranges are [-3, +1] in 2D and [-5, +7] in 3D.
 
 Coefficients are computed per block of first-axis rows, in :func:`_fan_out`.
-A block and its one-row halo are copied into a flat float64 buffer padded
-with +inf (one cell after each trailing axis, a margin at either end), so
-each of the 3**d - 1 neighbor relations is one contiguous comparison of
-the buffer against a shifted slice of itself.  Neighbors outside the grid
-read +inf, which never precedes a pixel because grid values are finite.
+A block and its one-row halo are copied into a flat buffer in the grid's
+dtype (float32 or float64) padded with +inf (one cell after each trailing
+axis, a margin at either end), so each of the 3**d - 1 neighbor relations
+is one contiguous comparison of the buffer against a shifted slice of
+itself.  Neighbors outside the grid read +inf, which never precedes a
+pixel because grid values are finite.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
 from operator import iadd
-from pathlib import Path
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from .grid import (
     VERSION_COEFF,
     CorruptionError,
     ScalarGrid,
-    _pack_header,
     _read_payload,
+    _write_payload,
 )
 
 #: Inclusive attainable coefficient ranges by grid dimension.
@@ -93,10 +93,11 @@ def _faces(off: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """Coefficients (int8) for first-axis rows [r0, r1), reading a one-row halo.
 
-    The rows and their halo are copied into one flat float64 buffer of
-    layout ``(r1 - r0 + 2, S1 + 1[, S2 + 1])``, filled with +inf: a halo
-    row missing at the grid's edge, one cell after each trailing axis and
-    a margin of ``sum(strides[1:])`` cells at either end stay +inf.  A
+    The rows and their halo are copied into one flat buffer in the grid's
+    dtype, of layout ``(r1 - r0 + 2, S1 + 1[, S2 + 1])``, filled with
+    +inf (float32 values order as their float64 casts do): a halo row
+    missing at the grid's edge, one cell after each trailing axis and a
+    margin of ``sum(strides[1:])`` cells at either end stay +inf.  A
     neighbor offset is then one fixed flat shift ``s``, and every neighbor
     outside the grid lands on +inf, which never precedes a grid value
     because grid values are finite (:class:`ScalarGrid` enforces it).
@@ -117,7 +118,7 @@ def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
     for a in range(nd - 2, -1, -1):
         strides[a] = strides[a + 1] * shape[a + 1]
     margin = sum(strides[1:])
-    flat = np.full(shape[0] * strides[0] + 2 * margin, np.inf)
+    flat = np.full(shape[0] * strides[0] + 2 * margin, np.inf, dtype=values.dtype)
     box = flat[margin : margin + shape[0] * strides[0]].reshape(shape)
     lo, hi = max(0, r0 - 1), min(values.shape[0], r1 + 1)
     box[(slice(lo - r0 + 1, hi - r0 + 1),) + tuple(slice(0, n) for n in tail)] = values[lo:hi]
@@ -201,8 +202,7 @@ def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:
 
 def write_coefficients(cg: CoefficientGrid, path) -> None:
     """Write a version-2 grid file with an int32 payload."""
-    blob = _pack_header(VERSION_COEFF, cg.dims) + cg.coeffs.astype("<i4").tobytes()
-    Path(path).write_bytes(blob)
+    _write_payload(path, VERSION_COEFF, cg.coeffs, "<i4")
 
 
 def read_coefficients(path) -> CoefficientGrid:

@@ -3,9 +3,10 @@
 Conventions shared by every other module:
 
 * Grids are dense 2D or 3D scalar fields stored row-major (last axis
-  fastest).  Values live in float64 in memory; the on-disk payload is
-  little-endian float32, so grids that originate from files or from the
-  synthetic generators round-trip bit-exactly.
+  fastest).  Values live in float32 in memory when they come as float32,
+  as from files and the synthetic generators, and in float64 otherwise;
+  the on-disk payload is little-endian float32, so such grids round-trip
+  bit-exactly.  Every comparison with a threshold happens in float64.
 * A linear (flat) pixel index is the row-major flattening of its
   coordinates, as ``np.ravel_multi_index`` computes it; it orders tied
   values in the coefficient pass and locates critical pixels.
@@ -56,11 +57,20 @@ class ScalarGrid:
     ----------
     values : array-like
         2D or 3D array of finite scalars.  Copied to a read-only,
-        C-contiguous float64 array.
+        C-contiguous array, float32 for float32 input and float64 for any
+        other.  A C-contiguous view of immutable ``bytes`` already in that
+        dtype, such as the payload :func:`read_grid` reads, is adopted
+        without a copy: nothing can write to it.
     """
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, order="C")
+        arr = np.asarray(values)
+        dtype = np.float32 if arr.dtype == np.float32 else np.float64
+        owner = arr  # the object at the end of the chain of views
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        if not (isinstance(owner, bytes) and arr.dtype == dtype and arr.flags.c_contiguous):
+            arr = np.array(arr, dtype=dtype, order="C")
         if arr.ndim not in (2, 3):
             raise ValueError(f"grid must be 2D or 3D, got ndim={arr.ndim}")
         if any(s < 1 for s in arr.shape):
@@ -99,7 +109,7 @@ def _affine_guess(x, t0: float, inv_w: float, nbins: int):
     with np.errstate(over="ignore"):
         # inv_w > 0, so an overflow lands on +-inf and clips to the right
         # end bin; NaN cannot arise
-        pos = np.asarray(x, dtype=np.float64) - t0
+        pos = np.subtract(x, t0, dtype=np.float64)
         pos *= inv_w
     pos -= 1e-9
     np.clip(pos, 0.0, float(nbins), out=pos)
@@ -176,7 +186,9 @@ class ThresholdSet:
 
         Returns len(self) for values above the last threshold.
         """
-        v = np.asarray(values, dtype=np.float64)
+        v = np.asarray(values)
+        if v.dtype != np.float32:  # float32 meets the float64 thresholds exactly as it is
+            v = v.astype(np.float64, copy=False)
         if self._affine is not None:
             t0, inv_w, padded = self._affine
             idx = _affine_guess(v, t0, inv_w, len(self))
@@ -246,9 +258,12 @@ class EulerCurve:
 # grid files
 
 
-def _pack_header(version: int, dims) -> bytes:
-    head = _HEADER.pack(MAGIC, version, len(dims), 0)
-    return head + np.asarray(dims, dtype="<u8").tobytes()
+def _write_payload(path, version: int, payload: np.ndarray, dtype: str) -> None:
+    """Write the header, then ``payload`` as ``dtype`` straight from memory."""
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, version, payload.ndim, 0))
+        f.write(np.asarray(payload.shape, dtype="<u8"))
+        f.write(payload.astype(dtype, order="C", copy=False))
 
 
 def _parse_header(data: bytes, path):
@@ -290,7 +305,7 @@ def _read_payload(path, expected_version: int, dtype: str):
 
 
 def read_grid(path) -> ScalarGrid:
-    """Read a version-1 grid file; inverse of :func:`write_grid`."""
+    """Read a version-1 grid file, viewing its bytes; inverse of :func:`write_grid`."""
     payload, dims = _read_payload(path, VERSION_SCALAR, "<f4")
     return ScalarGrid(payload.reshape(dims))
 
@@ -302,8 +317,7 @@ def write_grid(grid: ScalarGrid, path) -> None:
     representable in float32 (always true for grids read from files or
     produced by :mod:`ecckit.synthetic`).
     """
-    blob = _pack_header(VERSION_SCALAR, grid.dims) + grid.values.astype("<f4").tobytes()
-    Path(path).write_bytes(blob)
+    _write_payload(path, VERSION_SCALAR, grid.values, "<f4")
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ class CellCounts:
 
 
 def sublevel_mask(grid: ScalarGrid, tau: float) -> np.ndarray:
-    """Boolean mask of pixels with value <= tau (inclusive)."""
-    return grid.values <= tau
+    """Boolean mask of pixels with value <= tau (inclusive), compared in float64."""
+    return grid.values <= np.float64(tau)
 
 
 def _cell_count(mask: np.ndarray, corners) -> int:

@@ -107,7 +107,7 @@ def effective_field(grid: ScalarGrid, alpha: float, u) -> ScalarGrid:
     """The field X + alpha * <u, p> whose sublevel sets the soft curve probes."""
     u = np.asarray(u, dtype=np.float64).ravel()
     _check_direction(grid, u)
-    shifted = grid.values.copy()
+    shifted = grid.values.astype(np.float64)  # a float32 copy would round the shift
     for a, d in enumerate(grid.dims):
         # axis a's vector, shaped to broadcast along axis a
         x = _axis_coordinates(np.arange(d), d)
@@ -135,6 +135,7 @@ def _critical_set(grid: ScalarGrid, coeffs: CoefficientGrid, alpha: float, u: np
         raise ValueError(f"coefficient dims {coeffs.dims} != grid dims {grid.dims}")
     _check_direction(grid, u)
     idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
+    vals = vals.astype(np.float64, copy=False)  # probes bump copies of it, which must not round
     return idx, vals, c, None if alpha == 0.0 else _positions(grid.dims, idx)
 
 

@@ -70,6 +70,27 @@ class TestScalarGrid:
         g = ScalarGrid([[5.0]])
         assert g.dims == (1, 1)
 
+    @pytest.mark.parametrize("dtype, kept", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64),
+        (np.int8, np.float64), (np.float16, np.float64),
+    ])
+    def test_float32_stays_float32_every_other_dtype_is_float64(self, dtype, kept):
+        g = ScalarGrid(np.arange(12).reshape(3, 4).astype(dtype))
+        assert g.values.dtype == kept
+        assert np.array_equal(g.values, np.arange(12).reshape(3, 4))
+        assert ScalarGrid([[0.5, 1.0]]).values.dtype == np.float64
+
+    def test_mutating_the_source_leaves_the_grid(self):
+        a = np.arange(12, dtype=np.float32).reshape(3, 4)
+        view = a.view()
+        view.flags.writeable = False
+        for source in (a, view):
+            g = ScalarGrid(source)
+            assert not np.shares_memory(g.values, a)
+            a[1, 2] = -7.0
+            assert g.values[1, 2] == 6.0
+            a[1, 2] = 6.0
+
 
 class TestThresholdSet:
     def test_validation(self):
@@ -307,6 +328,33 @@ class TestGridFiles:
         assert np.array_equal(back.values, g.values)
         # the file bytes plus one float64 grid, with room for the finiteness check
         assert peak < path.stat().st_size + 1.5 * g.values.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_read_adopts_the_file_buffer(self, tmp_path, rng):
+        g = ScalarGrid(rng.random((64, 64, 64)).astype(np.float32))
+        path = tmp_path / "g.eccg"
+        write_grid(g, path)
+        tracemalloc.start()
+        try:
+            back = read_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.dtype == np.float32 and not back.values.flags.writeable
+        assert np.array_equal(back.values, g.values)
+        # the file bytes alone: the grid is a view of them
+        assert peak < path.stat().st_size + 0.1 * g.values.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_write_streams_a_float32_payload(self, tmp_path, rng):
+        g = ScalarGrid(rng.random((64, 64, 64)).astype(np.float32))
+        path = tmp_path / "g.eccg"
+        tracemalloc.start()
+        try:
+            write_grid(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes()[8 + 24:] == g.values.astype("<f4").tobytes()
+        assert peak < 0.1 * g.values.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "g.eccg"

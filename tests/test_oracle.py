@@ -34,6 +34,16 @@ class TestSublevelMask:
         want = sum(1 for v in vals if v <= tau)
         assert sublevel_mask(g, tau).sum() == want
 
+    def test_compares_in_float64(self):
+        v = np.float32(0.1)  # 0.100000001490116..., just above the double 0.1
+        assert float(np.nextafter(v, np.float32(0))) < 0.1 < float(v)
+        for dtype in (np.float32, np.float64):
+            g = ScalarGrid(np.full((2, 2), v, dtype=dtype))
+            assert not sublevel_mask(g, 0.1).any()
+            assert sublevel_mask(g, float(v)).all()
+        g = ScalarGrid(np.full((2, 2), v))
+        assert np.array_equal(oracle_ecc(g, ThresholdSet([0.1, float(v)])).values, [0, 1])
+
 
 class TestCountCells:
     def test_ring(self):

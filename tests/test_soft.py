@@ -355,6 +355,41 @@ class TestDeterminism:
             assert np.abs(other - base).max() <= 1e-10
 
 
+class TestFloat32Grids:
+    """A float32 grid gives the bytes its float64 copy gives."""
+
+    @staticmethod
+    def pair(spec):
+        g32 = generate_grid(spec)
+        assert g32.values.dtype == np.float32
+        return g32, ScalarGrid(g32.values.astype(np.float64))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_forward_and_backward(self, monkeypatch, workers, alpha):
+        monkeypatch.setattr(ecckit.soft, "_BLOCK_ENTRIES", 64)  # several blocks per pass
+        u = unit(1, 2)
+        outputs = []
+        for g in self.pair(SyntheticSpec("uniform-random", (24, 20), seed=3)):
+            field = effective_field(g, alpha, u)
+            assert field.values.dtype == np.float64
+            coeffs = compute_coefficients(field)
+            params = SoftEccParams(lam=20.0, alpha=alpha, u=u, taus=uniform_thresholds(g, 16))
+            grads = soft_ecc_backward(g, coeffs, params, np.linspace(0.5, 1.5, 16), workers)
+            curve = soft_ecc(g, coeffs, params, workers)
+            outputs.append([field.values, coeffs.coeffs, curve.values,
+                            grads.d_values, grads.d_tau, grads.d_u])
+        for a, b in zip(*outputs):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_gradient_check(self):
+        g32, g64 = self.pair(SyntheticSpec("uniform-random", (16, 16), seed=5))
+        params = SoftEccParams(lam=20.0, alpha=0.3, u=unit(1, 2), taus=uniform_thresholds(g64, 8))
+        report = gradient_check(g32, params)
+        assert report == gradient_check(g64, params)
+        assert report["pass"], report
+
+
 def dense_reference(grid, coeffs, params, upstream):
     """The docstring formulas evaluated at every pixel, zero coefficients included."""
     lam, alpha, u, taus = params.lam, params.alpha, params.u, params.taus.taus
