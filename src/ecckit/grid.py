@@ -71,15 +71,28 @@ class ScalarGrid:
             owner = owner.base
         if not (isinstance(owner, bytes) and arr.dtype == dtype and arr.flags.c_contiguous):
             arr = np.array(arr, dtype=dtype, order="C")
+        self._hold(arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> ScalarGrid:
+        """A grid on ``arr`` itself, a fresh C-contiguous float32 or float64
+        array that no caller keeps, after the checks :meth:`__init__` makes."""
+        grid = cls.__new__(cls)
+        grid._hold(arr)
+        return grid
+
+    def _hold(self, arr: np.ndarray):
         if arr.ndim not in (2, 3):
             raise ValueError(f"grid must be 2D or 3D, got ndim={arr.ndim}")
         if any(s < 1 for s in arr.shape):
             raise ValueError(f"grid extents must be positive, got {arr.shape}")
         # NaN propagates through min and max, and an infinity is one of them
-        if not np.isfinite([arr.min(), arr.max()]).all():
+        lo, hi = float(arr.min()), float(arr.max())
+        if not math.isfinite(lo) or not math.isfinite(hi):
             raise ValueError("grid values must be finite (no NaN/Inf)")
         arr.flags.writeable = False
         self.values = arr
+        self._range = lo, hi  # read by uniform_thresholds instead of a second pass
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -149,9 +162,12 @@ class ThresholdSet:
         arr = np.array(taus, dtype=np.float64).ravel()
         if arr.size < 1:
             raise ValueError("threshold set must contain at least one value")
-        if not np.isfinite(arr).all():
-            raise ValueError("thresholds must be finite")
-        if not (arr[1:] > arr[:-1]).all():
+        # NaN fails the strictness check, and a strictly increasing set is
+        # finite exactly when its two ends are, so no T-sized finite mask
+        # is built unless a check fails
+        if not ((arr[1:] > arr[:-1]).all() and np.isfinite(arr[[0, -1]]).all()):
+            if not np.isfinite(arr).all():
+                raise ValueError("thresholds must be finite")
             raise ValueError("thresholds must be strictly increasing")
         arr.flags.writeable = False
         self.taus = arr
@@ -211,8 +227,7 @@ def uniform_thresholds(grid: ScalarGrid, bins: int) -> ThresholdSet:
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    lo = float(grid.values.min())
-    hi = float(grid.values.max())
+    lo, hi = grid._range
     frac = np.arange(1, bins + 1) / bins
     if np.isfinite(hi - lo):
         edges = lo + (hi - lo) * frac

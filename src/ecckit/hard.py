@@ -101,7 +101,7 @@ def _block_counts(values, coeffs, taus: ThresholdSet) -> _Pairs:
     if bins.size < len(taus):
         return _Pairs([(bins, coeffs.ravel())])
     counts = np.bincount(bins, weights=coeffs.ravel())
-    nonzero = np.flatnonzero(counts)
+    nonzero = np.flatnonzero(counts != 0)
     return _Pairs([(nonzero, counts[nonzero])])
 
 

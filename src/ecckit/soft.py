@@ -112,7 +112,7 @@ def effective_field(grid: ScalarGrid, alpha: float, u) -> ScalarGrid:
         # axis a's vector, shaped to broadcast along axis a
         x = _axis_coordinates(np.arange(d), d)
         shifted += (alpha * u[a]) * x.reshape((-1,) + (1,) * (grid.ndim - 1 - a))
-    return ScalarGrid(shifted)
+    return ScalarGrid._adopt(shifted)
 
 
 def reparametrize_direction(v) -> np.ndarray:

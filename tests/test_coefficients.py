@@ -17,7 +17,7 @@ from ecckit import (
     read_coefficients,
     write_coefficients,
 )
-from ecckit.coefficients import _cells, _coefficient_rows, _faces, _row_block
+from ecckit.coefficients import _cells, _coefficient_rows, _critical_pixels, _faces, _row_block
 
 from conftest import random_f32_grid, random_int_grid
 
@@ -200,6 +200,67 @@ class TestOwnershipReference:
                 values = rng.random(dims)
             got = compute_coefficients(ScalarGrid(values)).coeffs
             assert np.array_equal(got, ownership_coefficients(values)), (dims, kind)
+
+
+class _PoisonedNumpy:
+    """numpy, save that ``empty`` hands out memory filled with ``fill`` and
+    keeps each array it hands out in ``handed``."""
+
+    def __init__(self, fill):
+        self.fill = fill
+        self.handed = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        self.handed.append(np.full(shape, self.fill, dtype=dtype))
+        return self.handed[-1]
+
+
+class TestPaddedBuffer:
+    # NaN in a pad cell fails the comparisons that read it as the later
+    # pixel, -inf the ones that read it as the earlier.  A margin cell is
+    # read only where a face through a pad cell already rules the cell out,
+    # so the buffers are also checked to hold no poison once the kernel is done.
+    @pytest.mark.parametrize("target", BLOCK_TARGETS)
+    @pytest.mark.parametrize("fill", [np.nan, -np.inf])
+    def test_every_pad_cell_is_written(self, rng, monkeypatch, fill, target):
+        use_block_target(monkeypatch, target)
+        poisoned = _PoisonedNumpy(fill)
+        monkeypatch.setattr(ecckit.coefficients, "np", poisoned)
+        for dims in THIN_DIMS:
+            for values in (rng.integers(0, 3, dims).astype(np.float64), rng.random(dims)):
+                got = compute_coefficients(ScalarGrid(values)).coeffs
+                assert np.array_equal(got, ownership_coefficients(values)), (dims, fill)
+        assert poisoned.handed
+        for flat in poisoned.handed:  # every cell: a grid value or +inf
+            assert np.isfinite(flat).sum() + np.isposinf(flat).sum() == flat.size
+
+
+class TestCriticalPixels:
+    @pytest.mark.parametrize("nd", [2, 3])
+    def test_equals_flatnonzero(self, rng, nd):
+        lo, hi = COEFF_RANGE[nd]
+        dims = (9, 11) if nd == 2 else (5, 7, 6)
+        coeffs = rng.integers(lo, hi + 1, dims).astype(np.int8)
+        coeffs[rng.random(dims) < 0.5] = 0
+        assert set(np.unique(coeffs)) == set(range(lo, hi + 1))
+        values = rng.random(dims)
+        views = [(...,), (slice(None, None, 2),), (slice(1, None), slice(None, None, -3))]
+        for view in views:
+            c, v = coeffs[view], values[view]
+            if view != (...,):
+                assert not c.flags.c_contiguous
+            idx, vals, cs = _critical_pixels(v, c)
+            want = np.flatnonzero(c)
+            assert np.array_equal(idx, want)
+            assert np.array_equal(vals, v.ravel()[want])
+            assert np.array_equal(cs, c.ravel()[want]) and cs.dtype == np.int8
+
+    def test_no_critical_pixel(self):
+        idx, vals, cs = _critical_pixels(np.ones((3, 4)), np.zeros((3, 4), dtype=np.int8))
+        assert idx.size == vals.size == cs.size == 0
 
 
 class TestMemory:

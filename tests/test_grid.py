@@ -70,6 +70,13 @@ class TestScalarGrid:
         g = ScalarGrid([[5.0]])
         assert g.dims == (1, 1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_keeps_the_range_of_its_finiteness_check(self, rng, dtype):
+        values = (rng.normal(0, 1e3, (7, 9, 5))).astype(dtype)
+        g = ScalarGrid(values)
+        assert g._range == (float(values.min()), float(values.max()))
+        assert all(type(end) is float for end in g._range)
+
     @pytest.mark.parametrize("dtype, kept", [
         (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64),
         (np.int8, np.float64), (np.float16, np.float64),
@@ -113,6 +120,32 @@ class TestThresholdSet:
             tracemalloc.stop()
         assert ts._affine is None
         assert peak < 1.25 * taus.nbytes, f"peak {peak / taus.nbytes:.3f}x the input"
+
+    @pytest.mark.parametrize("where", ["interior nan", "leading -inf", "trailing +inf"])
+    def test_any_non_finite_threshold_is_named(self, where):
+        taus = np.arange(10.0)
+        if where == "interior nan":
+            taus[4] = np.nan
+        elif where == "leading -inf":
+            taus[0] = -np.inf
+        else:
+            taus[-1] = np.inf
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            ThresholdSet(taus)
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            ThresholdSet(taus[::-1])  # not increasing either: finiteness is still named
+
+    def test_finiteness_check_holds_no_threshold_sized_mask(self):
+        # the float64 copy and the strictness check's bool mask (1/8 of it)
+        # are all a strictly increasing set needs
+        taus = np.arange(1.0, 2.0**20 + 1) ** 2
+        tracemalloc.start()
+        try:
+            ThresholdSet(taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * taus.nbytes, f"peak {peak / taus.nbytes:.3f}x the input"
 
     def test_bin_indices_match_binary_search(self, rng):
         for _ in range(100):
@@ -251,6 +284,11 @@ class TestUniformThresholds:
             g = random_f32_grid(rng, 2, 12)
             ts = uniform_thresholds(g, int(rng.integers(1, 64)))
             assert ts.taus[-1] == g.values.max()
+
+    def test_reads_the_range_the_grid_keeps(self, rng, monkeypatch):
+        g = random_f32_grid(rng, 2, 12)
+        monkeypatch.setattr(g, "_range", (-1.0, 3.0))
+        assert np.array_equal(uniform_thresholds(g, 4).taus, [0.0, 1.0, 2.0, 3.0])
 
     def test_zero_bins_rejected(self):
         with pytest.raises(ValueError):

@@ -184,6 +184,19 @@ class TestEffectiveField:
         zero = ScalarGrid(np.zeros((1, 4)))
         assert (effective_field(zero, 1.0, [1.0, 0.0]).values == 0.0).all()
 
+    def test_allocates_the_field_once(self):
+        grid = generate_grid(SyntheticSpec("gaussian-blobs", (256, 256), seed=7))
+        u = unit(3, 4)
+        tracemalloc.start()
+        try:
+            field = effective_field(grid, 0.3, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * field.values.nbytes, f"peak {peak / field.values.nbytes:.3f}x the field"
+        assert not field.values.flags.writeable
+        assert field._range == (float(field.values.min()), float(field.values.max()))
+
     @pytest.mark.parametrize("dims, u", [((4, 5), unit(1, 2, 2)), ((3, 4, 5), unit(3, 4))])
     def test_direction_length_must_match_grid(self, dims, u):
         with pytest.raises(ValueError, match=f"{len(u)} components for a {len(dims)}D grid"):
