@@ -27,7 +27,6 @@ ones.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 from pathlib import Path
@@ -39,7 +38,6 @@ VERSION_SCALAR = 1
 VERSION_COEFF = 2
 
 _HEADER = struct.Struct("<4sBBH")
-_log = logging.getLogger("ecckit")
 
 
 class FormatError(ValueError):
@@ -110,52 +108,31 @@ class ScalarGrid:
         return f"ScalarGrid(dims={self.dims})"
 
 
-def _affine_guess(x, t0: float, inv_w: float, nbins: int):
-    """Monotone affine under-estimate of the covering-threshold index.
-
-    Biased low by 1e-9 index units so float noise in the slope can only
-    leave the estimate at or one below the true index, never above; a
-    single conditional bump against the actual thresholds then makes it
-    exact.  Clamping happens in float space before the integer conversion
-    so arbitrarily large finite inputs cannot overflow int64.
-    """
-    with np.errstate(over="ignore"):
-        # inv_w > 0, so an overflow lands on +-inf and clips to the right
-        # end bin; NaN cannot arise
-        pos = np.subtract(x, t0, dtype=np.float64)
-        pos *= inv_w
-    pos -= 1e-9
-    np.clip(pos, 0.0, float(nbins), out=pos)
-    np.ceil(pos, out=pos)
-    return pos.astype(np.int64)
-
-
-def _affine_certified(taus, t0: float, inv_w: float, step: int) -> bool:
-    """Whether the affine guess sits in [true - 1, true] at every ``step``-th
-    threshold taus[j], where the true index is j, and just above, where it is j + 1."""
-    n = taus.size
-    j = np.arange(0, n, step)
-    at = _affine_guess(taus[::step], t0, inv_w, n)
-    with np.errstate(over="ignore"):  # above the largest float is inf
-        above = _affine_guess(np.nextafter(taus[::step], np.inf), t0, inv_w, n)
-    return bool(((at <= j) & (at >= j - 1) & (above <= j + 1) & (above >= j)).all())
+def _buckets(x, t0, s, top: int) -> np.ndarray:
+    """``clip(floor((x - t0) * s), 0, top)`` in the dtype of ``x``: with ``s > 0``
+    each step is monotone, so the bucket never decreases as ``x`` grows."""
+    with np.errstate(over="ignore"):  # an overflow lands on +-inf, clipped to an end
+        pos = np.subtract(x, t0)
+        pos *= s
+    np.clip(pos, 0, top, out=pos)
+    return pos.astype(np.intp)
 
 
 class ThresholdSet:
     """Strictly increasing, finite evaluation thresholds.
 
-    On construction we try to certify a constant-time binning rule: a
-    low-biased affine guess of the covering-threshold index that is then
-    repaired by at most one increment against the actual thresholds.  The
-    guess and the true index are both monotone step functions, so checking
-    ``true - 1 <= guess <= true`` at every threshold and at the next
-    representable float above it implies the bound for every float in
-    between, making guess-plus-bump exact everywhere.  For 2**14 or more
-    thresholds the same check at about 64 evenly spaced ones runs first: a
-    subset of the full certificate, it cheaply rejects most uneven sets and
-    no certified one.
-    When the certificate fails, binning falls back to binary search, and a
-    debug line on the ``ecckit`` logger says so.
+    :meth:`bin_indices` splits the thresholds' span into ``2 * len(self)``
+    buckets by the monotone map :func:`_buckets`, in the values' dtype (the
+    thresholds clipped to its finite range).  Thresholds below a value fall in
+    its bucket or earlier ones, the others in its bucket or later ones, so the
+    answer lies within the value's bucket: exact, with no certificate.  A lookup
+    starts at the count of thresholds in earlier buckets and takes a branchless
+    halving round per bit of the fullest bucket's count; evenly spaced
+    thresholds of ordinary magnitude a float32 ulp apart or more take one.
+    The table is built on first use for each values dtype and cached.  It is a
+    pure function of the set, so when two workers both build it the duplicate
+    is harmless and no lock is needed.  Calls with fewer than one value per 64
+    thresholds search directly and build no table.
     """
 
     def __init__(self, taus):
@@ -171,9 +148,7 @@ class ThresholdSet:
             raise ValueError("thresholds must be strictly increasing")
         arr.flags.writeable = False
         self.taus = arr
-        self._affine = self._certify_affine()
-        if self._affine is None:
-            _log.debug("%r has no affine certificate; binning by binary search", self)
+        self._tables = {}  # values dtype -> bucket table
 
     def __len__(self) -> int:
         return self.taus.size
@@ -181,41 +156,41 @@ class ThresholdSet:
     def __repr__(self):
         return f"ThresholdSet(n={len(self)}, lo={self.taus[0]}, hi={self.taus[-1]})"
 
-    def _certify_affine(self):
-        taus = self.taus
-        n = taus.size
-        if n < 2:
-            return None
-        t0 = float(taus[0])
-        inv_w = (n - 1) / (float(taus[-1]) - t0)
-        if not 0.0 < inv_w < math.inf:  # the span or its inverse overflows
-            return None
-        # a sampled pre-check first where it costs a certified set nothing measurable
-        steps = (n // 64 + 1, 1) if n >= 1 << 14 else (1,)
-        if not all(_affine_certified(taus, t0, inv_w, step) for step in steps):
-            return None
-        # taus padded with +inf, against which a guess past the end is never bumped
-        return t0, inv_w, np.append(taus, np.inf)
+    def _table(self, dtype: np.dtype):
+        """``(t0, s, top, start, rounds, padded)`` for values of ``dtype``, cached:
+        ``start[k]`` counts the thresholds in buckets below ``k``, and ``padded``
+        is the thresholds followed by enough +inf that no round reads past it."""
+        n, big = len(self), np.finfo(dtype).max
+        t0, hi = np.clip(self.taus[[0, -1]], -big, big).astype(dtype)
+        half_span = float(hi) / 2 - float(t0) / 2  # finite where the span itself overflows
+        top = int(dtype.type(2 * n))  # the bucket count, representable in dtype
+        s = dtype.type(min(top / 2 / half_span, float(big)) if half_span > 0 else 1.0)
+        taus = np.clip(self.taus, -big, big).astype(dtype, copy=False)
+        counts = np.bincount(_buckets(taus, t0, s, top), minlength=top + 1)
+        rounds = int(counts.max()).bit_length()
+        start = np.zeros(top + 1, np.int32 if n < 1 << 31 else np.intp)
+        start[1:] = np.cumsum(counts[:-1], out=counts[:-1])  # in place: no int64 copy
+        padded = np.concatenate([self.taus, np.full((1 << rounds) - 1, np.inf)])
+        table = self._tables[dtype] = t0, s, top, start, rounds, padded
+        return table
 
     def bin_indices(self, values) -> np.ndarray:
         """For each value, the smallest index j with value <= taus[j].
 
-        Returns len(self) for values above the last threshold.
+        Returns len(self) for values above the last threshold, as int32 from
+        the table (below 2**31 thresholds) and as intp from a direct search.
         """
         v = np.asarray(values)
         if v.dtype != np.float32:  # float32 meets the float64 thresholds exactly as it is
             v = v.astype(np.float64, copy=False)
-        if self._affine is not None:
-            t0, inv_w, padded = self._affine
-            idx = _affine_guess(v, t0, inv_w, len(self))
-            idx += v > padded[idx]
-            return idx
-        if len(self) < 1 << 16:  # cache-resident: values of smooth fields search faster unsorted
+        if 64 * v.size < len(self):  # too few values to pay for a table
             return np.searchsorted(self.taus, v, side="left")
-        order = np.argsort(v, axis=None)  # each search starts at the previous needle's result
-        idx = np.empty_like(order)
-        idx[order] = np.searchsorted(self.taus, v.ravel()[order], side="left")
-        return idx.reshape(v.shape)
+        t0, s, top, start, rounds, padded = self._tables.get(v.dtype) or self._table(v.dtype)
+        idx = start.take(_buckets(v, t0, s, top))
+        for k in reversed(range(rounds)):  # the answer lies in [idx, idx + 2**(k + 1) - 1]
+            hit = padded[(1 << k) - 1:].take(idx) < v
+            idx += hit << k if k else hit
+        return idx
 
 
 def uniform_thresholds(grid: ScalarGrid, bins: int) -> ThresholdSet:

@@ -259,7 +259,10 @@ def gradient_check(
     tails are saturated, where a plain ratio would divide by zero.
     Returns per-parameter maxima, the tangency residual, and an overall
     ``pass`` flag: every maximum at most 1e-4 and the residual at most 1e-8.
+    A step that is not finite and positive raises ``ValueError``.
     """
+    if not 0.0 < step < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"step must be finite and positive, got {step}")
     if upstream is None:
         rng = np.random.default_rng(seed)
         upstream = rng.uniform(0.5, 1.5, size=len(params.taus))

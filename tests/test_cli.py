@@ -71,6 +71,19 @@ class TestCompute:
                    "--output", out) == 0
         curve = read_curve(out)
         assert np.array_equal(curve.taus, [0.25, 0.5, 0.75])
+        # uneven thresholds, some below and some above the grid's range
+        values = read_grid(grid_file).values
+        lo, hi = float(values.min()), float(values.max())
+        inside = np.quantile(values, np.linspace(0.0, 1.0, 40) ** 3)
+        taus = np.unique(np.concatenate([[lo - 1.0, lo - 1e-3], inside, [hi + 1e-3, hi + 5.0]]))
+        taus_file.write_text("threshold\n" + "\n".join(repr(t) for t in taus.tolist()) + "\n")
+        exact, oracle = tmp_path / "exact.csv", tmp_path / "oracle.csv"
+        assert run("compute", "--input", grid_file, "--taus", taus_file, "--output", exact) == 0
+        assert run("oracle", "--input", grid_file, "--taus", taus_file, "--output", oracle) == 0
+        curve = read_curve(exact)
+        assert np.array_equal(curve.taus, taus)
+        assert curve.values[:2].tolist() == [0, 0] and curve.values[-2:].tolist() == [1, 1]
+        assert exact.read_bytes() == oracle.read_bytes()
 
     def test_bins_and_taus_mutually_exclusive(self, grid_file, tmp_path):
         with pytest.raises(SystemExit):

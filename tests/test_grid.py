@@ -1,6 +1,5 @@
 """Grid model, thresholds, curve CSV, and file-format round trips."""
 
-import logging
 import tracemalloc
 
 import numpy as np
@@ -8,23 +7,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ecckit.grid
 from ecckit import (
     CorruptionError,
     curve_checksum,
     EulerCurve,
     FormatError,
     ScalarGrid,
+    SyntheticSpec,
     ThresholdSet,
+    generate_grid,
     read_curve,
     read_grid,
     uniform_thresholds,
     write_curve,
     write_grid,
 )
-from ecckit.grid import MAGIC, _affine_certified
+from ecckit.grid import MAGIC
 
 from conftest import random_f32_grid
+
+
+def rounds(ts, dtype):
+    """Halving rounds of the bucket table ``ts`` builds for values of ``dtype``."""
+    return ts._table(np.dtype(dtype))[4]
+
+
+def assert_bins_exact(ts, probes):
+    """``bin_indices`` equals binary search on the probes in float64 and in float32.
+
+    The probes are repeated to one value per 64 thresholds, so the bucket
+    table runs, not the direct search.
+    """
+    probes = np.asarray(probes, dtype=np.float64)
+    probes = np.resize(probes, max(probes.size, -(-len(ts) // 64)))
+    with np.errstate(over="ignore"):  # beyond the float32 range is +-inf
+        cast = probes.astype(np.float32)
+    for values in (probes, cast):
+        got = ts.bin_indices(values)
+        want = np.searchsorted(ts.taus, values, side="left")
+        assert np.array_equal(got, want), (ts, values.dtype, np.flatnonzero(got != want)[:5])
 
 
 class TestScalarGrid:
@@ -110,17 +131,6 @@ class TestThresholdSet:
         with pytest.raises(ValueError):
             ThresholdSet([0.0, np.inf])
 
-    def test_strictness_check_holds_no_float_copy(self):
-        taus = np.arange(1.0, 2.0**20 + 1) ** 2  # uneven: the sampled pre-check rejects it
-        tracemalloc.start()
-        try:
-            ts = ThresholdSet(taus)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ts._affine is None
-        assert peak < 1.25 * taus.nbytes, f"peak {peak / taus.nbytes:.3f}x the input"
-
     @pytest.mark.parametrize("where", ["interior nan", "leading -inf", "trailing +inf"])
     def test_any_non_finite_threshold_is_named(self, where):
         taus = np.arange(10.0)
@@ -136,8 +146,9 @@ class TestThresholdSet:
             ThresholdSet(taus[::-1])  # not increasing either: finiteness is still named
 
     def test_finiteness_check_holds_no_threshold_sized_mask(self):
-        # the float64 copy and the strictness check's bool mask (1/8 of it)
-        # are all a strictly increasing set needs
+        # the padded float64 copy and the strictness check's bool mask (1/8
+        # of it) are all a strictly increasing set needs: no bucket table
+        # is built before a call bins values
         taus = np.arange(1.0, 2.0**20 + 1) ** 2
         tracemalloc.start()
         try:
@@ -164,10 +175,8 @@ class TestThresholdSet:
             )
 
     def test_large_sets_bin_sorted_values_exactly(self, rng):
-        # 2**16 or more thresholds search the values in sorted order
         taus = np.unique(rng.normal(0, 5, 70_000) ** 3)
         ts = ThresholdSet(taus)
-        assert len(ts) >= 1 << 16 and ts._affine is None
         probes = np.concatenate(
             [rng.normal(0, 6, 5000) ** 3, taus[::7], np.nextafter(taus[::5], np.inf),
              np.nextafter(taus[::5], -np.inf), [-np.inf, np.inf, taus[0], taus[-1]]]
@@ -182,21 +191,30 @@ class TestThresholdSet:
         for _ in range(50):
             g = random_f32_grid(rng, 2, 16)
             ts = uniform_thresholds(g, int(rng.integers(2, 200)))
-            if len(ts) > 1:
-                assert ts._affine is not None
             got = ts.bin_indices(g.values.ravel())
             assert np.array_equal(
                 got, np.searchsorted(ts.taus, g.values.ravel(), side="left")
             )
+            assert rounds(ts, np.float32) == 1  # thresholds a float32 ulp apart or more
+        for seed in range(3):  # the range of exact-3d-random's grids, 256 thresholds
+            g = generate_grid(SyntheticSpec("uniform-random", (32, 32, 32), seed))
+            assert rounds(uniform_thresholds(g, 256), np.float32) == 1
+        for lo in (np.float32(1.0), np.float32(-7e30), np.float32(3.3e-20)):
+            for bins in (1, 7, 256, 1000):
+                for ulps in (1, 2, 3):  # the thresholds are ``ulps`` float32 ulps apart
+                    hi = lo + np.float32(bins * ulps) * np.spacing(lo)
+                    ts = uniform_thresholds(ScalarGrid(np.array([[lo, hi]])), bins)
+                    assert len(ts) == bins
+                    assert_bins_exact(ts, np.concatenate([ts.taus, np.nextafter(ts.taus, np.inf)]))
+                    assert rounds(ts, np.float32) == 1, (lo, bins, ulps)
 
     def test_extreme_magnitudes_stay_exact(self, rng):
-        # huge offsets and spans defeat the affine certificate; binning
-        # must still match binary search bit for bit
         hostile = [
             np.array([1e15, 1e15 + 1, 1e15 + 2]),
             np.array([-1e300, 0.0, 1e300]),
             np.array([0.0, 1e-300, 2e-300, 1.0]),
             np.array([0.0, 5e-324]),  # the inverse of the span overflows
+            np.array([1e-40, 2e-40, 3e-40]),  # and in float32, subnormal there
             np.arange(64.0) * 1e-6 + 5e8,
         ]
         for taus in hostile:
@@ -205,10 +223,7 @@ class TestThresholdSet:
                 [taus, np.nextafter(taus, np.inf), np.nextafter(taus, -np.inf),
                  rng.uniform(-1e10, 1e10, 50), np.array([np.finfo(np.float64).max])]
             )
-            assert np.array_equal(
-                ts.bin_indices(probes), np.searchsorted(ts.taus, probes, side="left")
-            )
-
+            assert_bins_exact(ts, probes)
 
     @given(
         st.floats(allow_nan=False, allow_infinity=False),
@@ -216,52 +231,101 @@ class TestThresholdSet:
         st.integers(1, 40_000),
     )
     @settings(max_examples=300, deadline=None)
-    def test_sampled_precheck_never_rejects_a_certified_set(self, a, b, bins):
+    def test_uniform_sets_of_any_range_bin_exactly(self, a, b, bins):
         ts = uniform_thresholds(ScalarGrid([[min(a, b), max(a, b)]]), bins)
-        taus, n = ts.taus, len(ts)
-        t0 = float(taus[0])
-        inv_w = (n - 1) / (float(taus[-1]) - t0) if n > 1 else 0.0
-        if not 0.0 < inv_w < np.inf:
-            assert ts._affine is None
-            return
-        full = _affine_certified(taus, t0, inv_w, 1)
-        assert (ts._affine is not None) == full
-        assert _affine_certified(taus, t0, inv_w, n // 64 + 1) or not full
+        taus = ts.taus
+        with np.errstate(over="ignore"):  # past the largest float is inf
+            probes = np.concatenate(
+                [taus, np.nextafter(taus, np.inf), np.nextafter(taus, -np.inf), [-np.inf, np.inf]]
+            )
+        assert_bins_exact(ts, probes)
 
-    def test_full_certificate_rejects_a_threshold_moved_between_samples(self, rng):
+    def test_a_threshold_moved_off_the_even_spacing(self, rng):
         taus = np.linspace(0.0, 1.0, 20_000)
-        assert ThresholdSet(taus)._affine is not None
-        step = taus.size // 64 + 1
-        k = step // 2  # not a sampled index
-        taus[k] = taus[k + 1] - 0.1 * (taus[1] - taus[0])  # guess at taus[k] is one too high
-        t0, inv_w = float(taus[0]), (taus.size - 1) / (taus[-1] - taus[0])
-        assert _affine_certified(taus, t0, inv_w, step)
+        k = 156  # a tenth of a spacing below its successor, far from either end
+        taus[k] = taus[k + 1] - 0.1 * (taus[1] - taus[0])
         ts = ThresholdSet(taus)
-        assert ts._affine is None
-        probes = np.concatenate([taus, np.nextafter(taus, np.inf), rng.uniform(-0.1, 1.1, 500)])
-        assert np.array_equal(ts.bin_indices(probes), np.searchsorted(taus, probes, side="left"))
+        assert_bins_exact(
+            ts, np.concatenate([taus, np.nextafter(taus, np.inf), rng.uniform(-0.1, 1.1, 500)])
+        )
 
-    def test_precheck_only_where_it_samples(self, monkeypatch):
-        steps = []
-        certified = ecckit.grid._affine_certified
+    def test_clustered_sets_take_several_rounds(self, rng):
+        for spread in (1e-3, 1e-9):  # a float64 cluster, and one inside a float32 ulp
+            taus = np.unique(np.concatenate(
+                [rng.uniform(0.0, 1.0, 200), 0.5 + spread * rng.random(3000)]
+            ))
+            ts = ThresholdSet(taus)
+            probes = np.concatenate(
+                [taus, np.nextafter(taus, np.inf), np.nextafter(taus, -np.inf),
+                 rng.uniform(-0.5, 1.5, 2000)]
+            )
+            assert_bins_exact(ts, probes)
+            assert rounds(ts, np.float64) > 1 and rounds(ts, np.float32) > 1
 
-        def spy(taus, t0, inv_w, step):
-            steps.append(step)
-            return certified(taus, t0, inv_w, step)
+    def test_thresholds_closer_than_a_float32_ulp(self):
+        # every threshold casts to float32 1.0: one bucket holds them all
+        taus = 1.0 + np.arange(-50, 50) * 2.0**-40
+        ts = ThresholdSet(taus)
+        f32 = np.float32
+        probes = np.array([0.0, 1.0, np.nextafter(f32(1), f32(0)), np.nextafter(f32(1), f32(2)), 2.0])
+        assert_bins_exact(ts, np.concatenate([taus, np.nextafter(taus, np.inf), probes]))
+        assert rounds(ts, np.float32) == 7  # 100 thresholds in one bucket
+        assert rounds(ts, np.float64) == 1
 
-        monkeypatch.setattr(ecckit.grid, "_affine_certified", spy)
-        for n, want in ((2, [1]), (64, [1]), (16_383, [1]), (16_384, [257, 1]), (64_000, [1001, 1])):
-            steps.clear()
-            assert ThresholdSet(np.linspace(0.0, 1.0, n))._affine is not None
-            assert steps == want, n
+    def test_a_single_threshold(self, rng):
+        for tau in (0.0, -3.5, 1e300, 5e-324):
+            ts = ThresholdSet([tau])
+            assert_bins_exact(ts, np.concatenate(
+                [[tau, np.nextafter(tau, np.inf), np.nextafter(tau, -np.inf), -np.inf, np.inf],
+                 rng.normal(tau, 1.0, 20)]
+            ))
+            assert rounds(ts, np.float32) == rounds(ts, np.float64) == 1
 
-    def test_search_fallback_is_logged_at_debug(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="ecckit"):
-            ThresholdSet(np.linspace(0.0, 1.0, 9))
-            assert not caplog.records
-            ThresholdSet(np.geomspace(1.0, 1e6, 20))
-        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-        assert "binary search" in caplog.records[0].getMessage()
+    def test_values_at_the_infinities_and_the_float_maxima(self):
+        top32, top64 = float(np.finfo(np.float32).max), np.finfo(np.float64).max
+        ends = [-np.inf, -top64, -top32, 0.0, top32, top64, np.inf]
+        for taus in (np.linspace(-1.0, 1.0, 5), [-top32, top32], [-top64, 0.0, top64], [top32]):
+            assert_bins_exact(ThresholdSet(taus), ends)
+
+    def test_thresholds_beyond_the_float32_range(self, rng):
+        # thresholds are clipped to the float32 range before the float32 map
+        big = [-1e300, -4e38, -1.0, 0.0, 1.0, 4e38, 1e300]
+        for taus in (big, big[:2], big[-2:], [1e300, 2e300], [-4e38, 1e300]):
+            ts = ThresholdSet(taus)
+            probes = np.concatenate([
+                ts.taus, np.nextafter(ts.taus, np.inf), np.nextafter(ts.taus, -np.inf),
+                [-np.inf, np.inf, 3.4e38, -3.4e38], rng.normal(0, 1e38, 50),
+            ])
+            assert_bins_exact(ts, probes)
+
+    def test_float32_and_float64_values_keep_one_table_each(self, rng):
+        ts = ThresholdSet(np.unique(rng.normal(0, 1, 300)))
+        probes = rng.normal(0, 1.2, 1000)
+        assert_bins_exact(ts, probes)
+        assert set(ts._tables) == {np.dtype(np.float32), np.dtype(np.float64)}
+        ints = (probes * 2).astype(np.int64)  # binned as float64
+        assert np.array_equal(ts.bin_indices(ints), np.searchsorted(ts.taus, ints, side="left"))
+        assert set(ts._tables) == {np.dtype(np.float32), np.dtype(np.float64)}
+
+    def test_few_values_search_directly_and_many_reuse_the_table(self, rng):
+        taus = np.sort(rng.normal(0, 1, 2**20))
+        ts = ThresholdSet(taus)
+        few = rng.normal(0, 1, 8)
+        tracemalloc.start()
+        try:
+            got = ts.bin_indices(few)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, np.searchsorted(taus, few, side="left"))
+        assert peak < 64 * 1024, peak
+        assert not ts._tables
+        many = rng.normal(0, 1, 2**14)  # one value per 64 thresholds: the table
+        assert np.array_equal(ts.bin_indices(many), np.searchsorted(taus, many, side="left"))
+        table = ts._tables[np.dtype(np.float64)]
+        assert np.array_equal(ts.bin_indices(many[::-1]), np.searchsorted(taus, many[::-1], side="left"))
+        assert ts._tables[np.dtype(np.float64)] is table
+
 
 class TestUniformThresholds:
     def test_equal_width_edges(self):

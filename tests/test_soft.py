@@ -309,6 +309,14 @@ class TestGradientsAgainstFiniteDifferences:
         assert report["d_u"] <= 1e-4
         assert report["tangency"] <= 1e-8
 
+    @pytest.mark.parametrize("step", [0.0, -1e-4, np.nan, np.inf])
+    def test_builtin_harness_rejects_a_step_not_finite_and_positive(self, rng, step):
+        g = ScalarGrid(rng.random((6, 6)))
+        params = SoftEccParams(lam=10.0, alpha=0.0, u=np.array([1.0, 0.0]),
+                               taus=uniform_thresholds(g, 4))
+        with pytest.raises(ValueError, match=f"step must be finite and positive, got {step}"):
+            gradient_check(g, params, step=step)
+
     def test_builtin_harness_on_thresholds_closer_than_the_step(self, rng):
         g = ScalarGrid(rng.random((6, 6)))
         u = reparametrize_direction(rng.normal(size=2))
