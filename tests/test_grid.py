@@ -158,6 +158,32 @@ class TestThresholdSet:
             tracemalloc.stop()
         assert peak < 1.15 * taus.nbytes, f"peak {peak / taus.nbytes:.3f}x the input"
 
+    def test_strictness_check_holds_no_float_copy(self):
+        # an uneven set whose one repeated value sits at the very end: the
+        # strictness check must scan all of it, and may not do so through
+        # a float copy of the differences
+        taus = np.arange(1.0, 2.0**20 + 1) ** 2
+        for repeat_last in (False, True):
+            if repeat_last:
+                taus[-1] = taus[-2]
+            tracemalloc.start()
+            try:
+                if repeat_last:
+                    with pytest.raises(ValueError, match="strictly increasing"):
+                        ThresholdSet(taus)
+                else:
+                    ts = ThresholdSet(taus)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * taus.nbytes, f"peak {peak / taus.nbytes:.3f}x the input"
+            if not repeat_last:
+                probes = taus[::4099]
+                assert np.array_equal(
+                    ts.bin_indices(probes), np.searchsorted(taus, probes, side="left")
+                )
+                del ts
+
     def test_bin_indices_match_binary_search(self, rng):
         for _ in range(100):
             taus = np.unique(rng.normal(0, 5, int(rng.integers(1, 30))))
