@@ -56,25 +56,19 @@ class ScalarGrid:
     values : array-like
         2D or 3D array of finite scalars.  Copied to a read-only,
         C-contiguous array, float32 for float32 input and float64 for any
-        other.  A C-contiguous view of immutable ``bytes`` already in that
-        dtype, such as the payload :func:`read_grid` reads, is adopted
-        without a copy: nothing can write to it.
+        other.
     """
 
     def __init__(self, values):
         arr = np.asarray(values)
         dtype = np.float32 if arr.dtype == np.float32 else np.float64
-        owner = arr  # the object at the end of the chain of views
-        while isinstance(owner, np.ndarray):
-            owner = owner.base
-        if not (isinstance(owner, bytes) and arr.dtype == dtype and arr.flags.c_contiguous):
-            arr = np.array(arr, dtype=dtype, order="C")
-        self._hold(arr)
+        self._hold(np.array(arr, dtype=dtype, order="C"))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> ScalarGrid:
-        """A grid on ``arr`` itself, a fresh C-contiguous float32 or float64
-        array that no caller keeps, after the checks :meth:`__init__` makes."""
+        """A grid on ``arr`` itself, after the checks :meth:`__init__` makes: a
+        C-contiguous float32 or float64 array that nothing else writes, fresh
+        or a view of immutable ``bytes`` such as the payload :func:`read_grid` reads."""
         grid = cls.__new__(cls)
         grid._hold(arr)
         return grid
@@ -112,7 +106,7 @@ def _buckets(x, t0, s, top: int) -> np.ndarray:
     """``clip(floor((x - t0) * s), 0, top)`` in the dtype of ``x``: with ``s > 0``
     each step is monotone, so the bucket never decreases as ``x`` grows."""
     with np.errstate(over="ignore"):  # an overflow lands on +-inf, clipped to an end
-        pos = np.subtract(x, t0)
+        pos = np.subtract(x, t0, out=np.empty_like(x))  # an array even for a scalar x
         pos *= s
     np.clip(pos, 0, top, out=pos)
     return pos.astype(np.intp)
@@ -179,10 +173,13 @@ class ThresholdSet:
 
         Returns len(self) for values above the last threshold, as int32 from
         the table (below 2**31 thresholds) and as intp from a direct search.
+        A NaN value raises ``ValueError``.
         """
         v = np.asarray(values)
         if v.dtype != np.float32:  # float32 meets the float64 thresholds exactly as it is
             v = v.astype(np.float64, copy=False)
+        if v.size and np.isnan(v.min()):  # NaN propagates through min, with no mask built
+            raise ValueError("values to bin must not be NaN")
         if 64 * v.size < len(self):  # too few values to pay for a table
             return np.searchsorted(self.taus, v, side="left")
         t0, s, top, start, rounds, padded = self._tables.get(v.dtype) or self._table(v.dtype)
@@ -297,7 +294,7 @@ def _read_payload(path, expected_version: int, dtype: str):
 def read_grid(path) -> ScalarGrid:
     """Read a version-1 grid file, viewing its bytes; inverse of :func:`write_grid`."""
     payload, dims = _read_payload(path, VERSION_SCALAR, "<f4")
-    return ScalarGrid(payload.reshape(dims))
+    return ScalarGrid._adopt(payload.astype(np.float32, copy=False).reshape(dims))
 
 
 def write_grid(grid: ScalarGrid, path) -> None:

@@ -21,18 +21,20 @@ the tangent space of the unit sphere at ``u``, which is the chain rule
 through :func:`reparametrize_direction` evaluated on the sphere.
 
 Only critical pixels, those with a nonzero coefficient, contribute, so
-each pass compacts the grid once to their flat index, value and
-coefficient arrays, plus their positions when alpha is nonzero, and
-evaluates sigmoids there alone; ``d_values`` is zero at every other pixel.
-:func:`gradient_check` compacts once too and probes by bumping one entry
-of a copy of those arrays.  Critical pixels are taken in blocks that
-bound the sigmoid block to ``_BLOCK_ENTRIES`` entries, and the blocks are
-summed by the block loop the exact path uses too: each worker adds a
-contiguous run of whole blocks in order, in float64, and the worker sums
-are added in worker order; input of one block runs on the calling
-thread.  A backward block returns its ``d_tau`` and ``d_u`` partials as
-one array, so that loop sums both.
-Repeated runs at a fixed worker count are bit-identical; across worker
+each pass compacts the grid once to their flat index, float64 coefficient
+and offset ``x = X(p) + alpha * <u, p>``, plus their positions when alpha
+is nonzero; ``d_values`` is zero at every other pixel.  Sigmoids go
+through ``t = tanh(lam * (tau - x) / 2)``: sigmoid = (1 + t) / 2, so the
+curve is ``(sum_p c t + sum_p c) / 2``, and sigmoid' = lam (1 - t^2) / 4.
+:func:`gradient_check` compacts once too and probes by bumping one offset
+or threshold in a copy, or by shifting the offsets for a bumped direction.
+Critical pixels are taken in blocks that bound the sigmoid block to
+``_BLOCK_ENTRIES`` entries, and the blocks are summed by the block loop
+the exact path uses too: each worker adds a contiguous run of whole
+blocks in order, in float64, and the worker sums are added in worker
+order; input of one block runs on the calling thread.  A backward block
+returns its ``d_tau`` and ``d_u`` partials as one array, so that loop sums
+both.  Repeated runs at a fixed worker count are bit-identical; across worker
 counts results agree to ~1e-10.
 """
 
@@ -41,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .coefficients import CoefficientGrid, _critical_pixels, _fan_out, compute_coefficients
 from .grid import EulerCurve, ScalarGrid, ThresholdSet
@@ -130,41 +131,36 @@ def _check_direction(grid: ScalarGrid, u: np.ndarray):
 
 
 def _critical_set(grid: ScalarGrid, coeffs: CoefficientGrid, alpha: float, u: np.ndarray):
-    """``_critical_pixels`` and positions (None at alpha 0) once shapes and ``u`` agree."""
+    """Index, float64 offset and coefficient, and position (None at alpha 0) of critical pixels."""
     if coeffs.dims != grid.dims:
         raise ValueError(f"coefficient dims {coeffs.dims} != grid dims {grid.dims}")
     _check_direction(grid, u)
     idx, vals, c = _critical_pixels(grid.values, coeffs.coeffs)
-    vals = vals.astype(np.float64, copy=False)  # probes bump copies of it, which must not round
-    return idx, vals, c, None if alpha == 0.0 else _positions(grid.dims, idx)
+    pos = None if alpha == 0.0 else _positions(grid.dims, idx)
+    x = vals.astype(np.float64, copy=False)  # probes bump copies of it, which must not round
+    return idx, _offsets(alpha, u, pos, x), c.astype(np.float64), pos
 
 
-def _sigmoid_block(taus, lam, field_block):
-    z = np.subtract.outer(taus, field_block)
-    z *= lam
-    return expit(z, out=z)
+def _offsets(alpha, u, pos, x):
+    """``x + alpha * <u, p>`` over the critical pixels at positions ``pos``."""
+    return x if pos is None else x + alpha * (pos @ u)
 
 
-def _offsets(alpha, u, pos, vals, b0, b1):
-    """Offsets ``X(p) + alpha * <u, p>`` and positions of critical pixels [b0, b1)."""
-    if pos is None:
-        return vals[b0:b1], None
-    pos = pos[b0:b1]
-    return vals[b0:b1] + alpha * (pos @ u), pos
+def _tanh_block(taus, lam, x):
+    """``tanh(lam/2 * (tau - x))`` per threshold and offset: ``2 * sigmoid - 1``."""
+    t = np.subtract.outer(taus, x)
+    t *= 0.5 * lam
+    return np.tanh(t, out=t)
 
 
-def _forward_raw(pos, vals, c, lam, alpha, u, tau_arr, workers=1):
-    """Smoothed curve values of the critical pixels ``(vals, c)`` at positions ``pos``.
-
-    ``u`` may be a non-unit vector: finite-difference probes call this
-    with one value, threshold or direction component bumped in a copy.
-    """
+def _forward_raw(x, c, lam, tau_arr, workers=1):
+    """Smoothed curve values of critical pixels with offsets ``x`` and coefficients ``c``."""
 
     def block(b0, b1):
-        x, _ = _offsets(alpha, u, pos, vals, b0, b1)
-        return _sigmoid_block(tau_arr, lam, x) @ c[b0:b1].astype(np.float64)
+        return _tanh_block(tau_arr, lam, x[b0:b1]) @ c[b0:b1]
 
-    return _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // tau_arr.size), workers)
+    t_sum = _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // tau_arr.size), workers)
+    return 0.5 * (t_sum + c.sum())
 
 
 def soft_ecc(
@@ -179,8 +175,8 @@ def soft_ecc(
     :func:`effective_field`); it is accepted explicitly so that callers can
     hold it fixed.
     """
-    _, vals, c, pos = _critical_set(grid, coeffs, params.alpha, params.u)
-    chi = _forward_raw(pos, vals, c, params.lam, params.alpha, params.u, params.taus.taus, workers)
+    _, x, c, _ = _critical_set(grid, coeffs, params.alpha, params.u)
+    chi = _forward_raw(x, c, params.lam, params.taus.taus, workers)
     return EulerCurve(params.taus.taus, chi)
 
 
@@ -203,7 +199,7 @@ def soft_ecc_backward(
 
     Coefficients are treated as constants.
     """
-    idx, vals, c, pos = _critical_set(grid, coeffs, params.alpha, params.u)
+    idx, x, c, pos = _critical_set(grid, coeffs, params.alpha, params.u)
     upstream = np.asarray(upstream, dtype=np.float64).ravel()
     ntau = len(params.taus)
     if upstream.size != ntau:
@@ -215,14 +211,13 @@ def soft_ecc_backward(
 
     def block(b0, b1):
         """This block's ``d_tau`` partial followed by its ``d_u`` partial."""
-        x, pos_blk = _offsets(alpha, u, pos, vals, b0, b1)
-        c_blk = c[b0:b1].astype(np.float64)
-        s = _sigmoid_block(tau_arr, lam, x)
-        sp = s * (1.0 - s)
-        sp *= lam
+        c_blk = c[b0:b1]
+        sp = _tanh_block(tau_arr, lam, x[b0:b1])
+        np.subtract(1.0, np.square(sp, out=sp), out=sp)
+        sp *= 0.25 * lam  # s' = lam * s * (1 - s) = lam/4 * (1 - t^2)
         w = upstream @ sp
         d_values[idx[b0:b1]] = -c_blk * w
-        du = np.zeros(u.size) if pos_blk is None else (w * c_blk) @ pos_blk
+        du = np.zeros(u.size) if pos is None else (w * c_blk) @ pos[b0:b1]
         return np.concatenate([sp @ c_blk, du])
 
     sums = _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // ntau), workers)
@@ -272,10 +267,10 @@ def gradient_check(
     grads = soft_ecc_backward(grid, coeffs, params, upstream)
 
     lam, alpha, u, tau_arr = params.lam, params.alpha, params.u, params.taus.taus
-    idx, vals, c, pos = _critical_set(grid, coeffs, alpha, u)
+    idx, x, c, pos = _critical_set(grid, coeffs, alpha, u)
 
-    def loss(vals=vals, taus=tau_arr, u=u):
-        return float(upstream @ _forward_raw(pos, vals, c, lam, alpha, u, taus))
+    def loss(x=x, taus=tau_arr):
+        return float(upstream @ _forward_raw(x, c, lam, taus))
 
     def rel(a, fd):
         return np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-4)
@@ -291,9 +286,10 @@ def gradient_check(
         return (-at(2 * step) + 8 * at(step) - 8 * at(-step) + at(-2 * step)) / (12 * step)
 
     fd_values = np.zeros(grid.size)
-    fd_values[idx] = [central4(vals, k, lambda v: loss(vals=v)) for k in range(idx.size)]
+    fd_values[idx] = [central4(x, k, lambda v: loss(x=v)) for k in range(idx.size)]
     fd_tau = np.array([central4(tau_arr, j, lambda t: loss(taus=t)) for j in range(tau_arr.size)])
-    fd_u = np.array([central4(u, a, lambda w: loss(u=w)) for a in range(u.size)])
+    fd_u = np.array([central4(u, a, lambda w: loss(x=_offsets(alpha, w - u, pos, x)))
+                     for a in range(u.size)])
     fd_u_proj = fd_u - (fd_u @ u) * u
 
     report = {

@@ -119,6 +119,13 @@ class TestScalarGrid:
             assert g.values[1, 2] == 6.0
             a[1, 2] = 6.0
 
+    def test_a_view_of_immutable_bytes_is_copied_too(self):
+        view = np.frombuffer(np.arange(12, dtype=np.float32).tobytes(), dtype=np.float32)
+        view = view.reshape(3, 4)
+        g = ScalarGrid(view)
+        assert g.values.dtype == np.float32
+        assert not np.shares_memory(g.values, view)
+
 
 class TestThresholdSet:
     def test_validation(self):
@@ -332,6 +339,29 @@ class TestThresholdSet:
         ints = (probes * 2).astype(np.int64)  # binned as float64
         assert np.array_equal(ts.bin_indices(ints), np.searchsorted(ts.taus, ints, side="left"))
         assert set(ts._tables) == {np.dtype(np.float32), np.dtype(np.float64)}
+
+    # one value against 10 thresholds takes the table, against 1000 the direct search
+    @pytest.mark.parametrize("n", [10, 1000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_scalar_value_gets_an_index(self, n, dtype):
+        ts = ThresholdSet(np.linspace(0.0, 1.0, n))
+        for value in (dtype(0.5), dtype(-1.0), dtype(2.0), dtype(ts.taus[3]), float(dtype(0.5))):
+            got = ts.bin_indices(value)
+            assert np.ndim(got) == 0
+            assert got == np.searchsorted(ts.taus, value, side="left"), value
+
+    # against 1000 thresholds, 8 values search directly and 2**12 take the table
+    @pytest.mark.parametrize("count", [8, 2**12])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_nan_value_raises(self, count, dtype):
+        ts = ThresholdSet(np.linspace(0.0, 1.0, 1000))
+        values = np.linspace(-0.5, 1.5, count).astype(dtype)
+        values[count // 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ts.bin_indices(values)
+        with pytest.raises(ValueError, match="NaN"):
+            ts.bin_indices(dtype(np.nan))
+        assert np.array_equal(ts.bin_indices(values[:0]), [])
 
     def test_few_values_search_directly_and_many_reuse_the_table(self, rng):
         taus = np.sort(rng.normal(0, 1, 2**20))

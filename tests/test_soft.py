@@ -1,6 +1,10 @@
 """Smoothed curves: forward values, analytic gradients, direction handling."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest.mock import Mock
 
 import numpy as np
@@ -231,8 +235,8 @@ def finite_difference_reference(grid, coeffs, params, upstream, step=1e-4):
 
     def loss(values=grid.values, tau_arr=taus.taus, u_vec=u):
         idx, vals, c = _critical_pixels(values, coeffs.coeffs)
-        pos = None if alpha == 0.0 else _positions(grid.dims, idx)
-        return float(upstream @ _forward_raw(pos, vals, c, lam, alpha, u_vec, tau_arr))
+        x = vals if alpha == 0.0 else vals + alpha * (_positions(grid.dims, idx) @ u_vec)
+        return float(upstream @ _forward_raw(x, c, lam, tau_arr))
 
     d_values = np.zeros(grid.size)
     flat = grid.values.ravel()
@@ -520,3 +524,26 @@ class TestFanOut:
             soft_ecc(grid, coeffs, params, workers=3)
             soft_ecc_backward(grid, coeffs, params, np.ones(ntau), workers=3)
             assert pool_sizes == want, ntau
+
+
+def test_the_library_needs_no_scipy():
+    """scipy is the tests' independent reference, not a dependency of the library."""
+    code = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
+from ecckit import (SoftEccParams, SyntheticSpec, compute_coefficients, effective_field,
+                    generate_grid, gradient_check, reparametrize_direction, soft_ecc,
+                    soft_ecc_backward, uniform_thresholds)
+g = generate_grid(SyntheticSpec("uniform-random", (12, 10), seed=4))
+u = reparametrize_direction([1.0, 2.0])
+params = SoftEccParams(lam=10.0, alpha=0.3, u=u, taus=uniform_thresholds(g, 6))
+coeffs = compute_coefficients(effective_field(g, 0.3, u))
+assert np.isfinite(soft_ecc(g, coeffs, params).values).all()
+assert np.isfinite(soft_ecc_backward(g, coeffs, params, np.ones(len(params.taus))).d_tau).all()
+assert gradient_check(g, params)["pass"]
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(ecckit.soft.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
