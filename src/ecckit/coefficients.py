@@ -30,14 +30,11 @@ Consequences used by tests and callers:
 * attainable ranges are [-3, +1] in 2D and [-5, +7] in 3D.
 
 Coefficients are computed per block of first-axis rows, in :func:`_fan_out`.
-A block and its one-row halo are copied into a flat buffer in the grid's
-dtype (float32 or float64) padded with +inf (one cell after each trailing
-axis, a margin at either end), so each of the 3**d - 1 neighbor relations
-is one contiguous comparison of the buffer against a shifted slice of
-itself.  The buffer is allocated uninitialised: +inf is written into the
-pad cells alone and the grid rows are copied in once.  Neighbors outside
-the grid read +inf, which never precedes a pixel because grid values are
-finite.
+The kernel reads a block and its one-row halo in place as one flat array,
+so each of the 3**d - 1 neighbor relations is one contiguous bool compare
+of two shifted slices of it.  Neighbors beyond the flat rows never precede
+a pixel; the only other boundary writes mark the trailing-axis edges,
+across which a flat neighbor wraps into another row.
 """
 
 from __future__ import annotations
@@ -95,55 +92,55 @@ def _faces(off: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """Coefficients (int8) for first-axis rows [r0, r1), reading a one-row halo.
 
-    The rows and their halo are copied into one flat buffer in the grid's
-    dtype, of layout ``(r1 - r0 + 2, S1 + 1[, S2 + 1])`` (float32 values
-    order as their float64 casts do).  The buffer is not pre-filled: +inf
-    is written only into its pad cells, which are a margin of
-    ``sum(strides[1:])`` cells at either end, one cell after each trailing
-    axis and a halo row missing at the grid's edge; every other cell is a
-    copied grid value.  A neighbor offset is then one fixed flat shift
-    ``s``, and every neighbor outside the grid lands on +inf, which never
-    precedes a grid value because grid values are finite
-    (:class:`ScalarGrid` enforces it).
+    The rows and their halo are compared in place as one flat array (a
+    copy only for a strided view, such as ``Chunked``'s halo box), so a
+    neighbor offset is one flat shift ``s``.  Flat order is row-major
+    order, so the index tie-break reduces to an inclusive comparison for
+    lexicographically negative offsets and, by antisymmetry, its negation
+    for the opposite offset: one bool ``cmp = flat[p - s] <= flat[p]``
+    over the block's rows, widened by ``s``, gives both masks as
+    ``cmp[:m]`` and ``~cmp[s:]``.
 
-    Flat order within the buffer is row-major order, so the index
-    tie-break reduces to an inclusive comparison for lexicographically
-    negative offsets and, by antisymmetry, its negation for the opposite
-    offset: one contiguous ``cmp = flat[p - s] <= flat[p]`` over the
-    block's own rows, widened by ``s``, gives both masks as ``cmp[:m]``
-    and ``~cmp[s:]``.  The tie-break is translation invariant, so any row
+    Where ``p - s`` or ``p`` falls outside the flat rows, ``cmp`` is set
+    False at the head and True at the tail: that neighbor lies outside the
+    grid and precedes no pixel.  Inside them, a shift wraps into another
+    row only across the edge of a trailing axis, so the lower mask of each
+    trailing-axis edge is set False at index 0 of its axis and the upper
+    mask at index -1; every square and cube ANDs in the edges it contains
+    and needs no write of its own.  A step along an axis of extent 1
+    relates no pixels (its flat shift would be <= 0), so both its masks
+    are all False.  The tie-break is translation invariant, so any row
     range reproduces the whole-grid coefficients.
     """
     nd = values.ndim
-    tail = values.shape[1:]
-    rows = r1 - r0
-    shape = (rows + 2,) + tuple(n + 1 for n in tail)
-    strides = [1] * nd
-    for a in range(nd - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
-    margin = sum(strides[1:])
-    flat = np.empty(shape[0] * strides[0] + 2 * margin, dtype=values.dtype)
-    flat[:margin] = flat[flat.size - margin :] = np.inf
-    box = flat[margin : margin + shape[0] * strides[0]].reshape(shape)
-    for a in range(1, nd):  # the pad cell after each trailing axis
-        box[(slice(None),) * a + (-1,)] = np.inf
-    lo, hi = max(0, r0 - 1), min(values.shape[0], r1 + 1)
-    box[: lo - r0 + 1] = box[hi - r0 + 1 :] = np.inf  # halo rows missing at the grid's edge
-    box[(slice(lo - r0 + 1, hi - r0 + 1),) + tuple(slice(0, n) for n in tail)] = values[lo:hi]
-
-    i0 = margin + strides[0]
-    i1 = i0 + rows * strides[0]
-    m = i1 - i0
+    dims = values.shape
+    shape = (r1 - r0,) + dims[1:]
+    lo, hi = max(0, r0 - 1), min(dims[0], r1 + 1)
+    flat = values[lo:hi].reshape(-1)
+    strides = [math.prod(dims[a + 1 :]) for a in range(nd)]
+    i0 = (r0 - lo) * strides[0]
+    m = math.prod(shape)
     zero = (0,) * nd
     # owned[off]: whether corner off precedes p, then, faces ANDed in, whether p owns its cell
     owned: dict[tuple[int, ...], np.ndarray] = {}
     for off in product((-1, 0, 1), repeat=nd):
-        if off < zero:
-            s = -sum(o * st for o, st in zip(off, strides))
-            cmp = flat[i0 - s : i1] <= flat[i0 : i1 + s]
-            owned[off] = cmp[:m]
-            owned[tuple(-o for o in off)] = ~cmp[s:]
-    del flat, box
+        if off >= zero:
+            continue
+        opposite = tuple(-o for o in off)
+        if any(o and n == 1 for o, n in zip(off, dims)):
+            owned[off], owned[opposite] = np.zeros((2, m), dtype=bool)
+            continue
+        s = -sum(o * st for o, st in zip(off, strides))
+        cmp = np.empty(m + s, dtype=bool)
+        head, tail = max(0, s - i0), min(m + s, flat.size - i0)  # both operands in the flat rows
+        j0, j1 = i0 + head, i0 + tail
+        np.less_equal(flat[j0 - s : j1 - s], flat[j0:j1], out=cmp[head:tail])
+        cmp[:head], cmp[tail:] = False, True
+        owned[off], owned[opposite] = cmp[:m], ~cmp[s:]
+    for a in range(1, nd):
+        edge = (0,) * a + (-1,) + (0,) * (nd - a - 1)
+        owned[edge].reshape(shape)[(slice(None),) * a + (0,)] = False
+        owned[tuple(-o for o in edge)].reshape(shape)[(slice(None),) * a + (-1,)] = False
 
     coeffs = np.ones(m, dtype=np.int8)
     for off in _cells(nd):
@@ -153,7 +150,7 @@ def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
             cell &= owned[face]
         (np.subtract if k % 2 else np.add)(coeffs, cell.view(np.int8), out=coeffs)
 
-    return coeffs.reshape((rows,) + shape[1:])[(slice(None),) + tuple(slice(0, n) for n in tail)]
+    return coeffs.reshape(shape)
 
 
 def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):

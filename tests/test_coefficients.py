@@ -37,15 +37,25 @@ def ownership_coefficients(values):
     return c
 
 
+# extent-1 axes, where a flat neighbor shift would be zero or negative, and
+# short trailing axes, across whose edges a flat neighbor wraps into another row
 THIN_DIMS = [
-    (1, 1), (1, 7), (7, 1), (2, 2), (2, 9), (9, 2), (6, 8),
-    (1, 1, 1), (1, 5, 6), (5, 1, 6), (5, 6, 1), (2, 2, 2),
-    (2, 5, 4), (5, 2, 4), (4, 5, 2), (5, 6, 4),
+    (1, 1), (1, 7), (7, 1), (2, 1), (2, 2), (2, 9), (9, 2), (6, 8),
+    (1, 1, 1), (1, 2, 3), (1, 5, 6), (3, 1, 2), (3, 2, 1), (4, 1, 1),
+    (5, 1, 6), (5, 6, 1), (2, 2, 2), (2, 5, 4), (5, 2, 4), (4, 5, 2), (5, 6, 4),
 ]
 
 
+def thin_values(rng, kind, dims, dtype=np.float64):
+    if kind == "tied":
+        return rng.integers(0, 3, dims).astype(dtype)
+    if kind == "constant":
+        return np.full(dims, 2.5, dtype=dtype)
+    return rng.random(dims).astype(dtype)
+
+
 # first-axis block targets in pixels: the default, one-row blocks, a few rows
-# each; small blocks put many block edges, pad cells and halo rows in a grid
+# each; small blocks put many block edges and halo rows in a grid
 BLOCK_TARGETS = [65536, 1, 24]
 
 
@@ -192,14 +202,23 @@ class TestOwnershipReference:
     def test_equals_per_cell_ownership(self, rng, monkeypatch, kind, target):
         use_block_target(monkeypatch, target)
         for dims in THIN_DIMS:
-            if kind == "tied":
-                values = rng.integers(0, 3, dims).astype(np.float64)
-            elif kind == "constant":
-                values = np.full(dims, 2.5)
-            else:
-                values = rng.random(dims)
+            values = thin_values(rng, kind, dims)
             got = compute_coefficients(ScalarGrid(values)).coeffs
             assert np.array_equal(got, ownership_coefficients(values)), (dims, kind)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["tied", "constant", "random"])
+    def test_every_row_range(self, rng, kind, dtype):
+        # a block at the grid's edge reads a one-sided halo, one in the
+        # middle a halo on both sides, and a whole grid none
+        for dims in THIN_DIMS:
+            values = thin_values(rng, kind, dims, dtype)
+            want = ownership_coefficients(values)
+            for r0 in range(dims[0]):
+                for r1 in range(r0 + 1, dims[0] + 1):
+                    got = _coefficient_rows(values, r0, r1)
+                    assert got.dtype == np.int8 and got.flags.c_contiguous
+                    assert np.array_equal(got, want[r0:r1]), (dims, r0, r1)
 
 
 class _PoisonedNumpy:
@@ -219,12 +238,13 @@ class _PoisonedNumpy:
 
 
 class TestPaddedBuffer:
-    # NaN in a pad cell fails the comparisons that read it as the later
-    # pixel, -inf the ones that read it as the earlier.  A margin cell is
-    # read only where a face through a pad cell already rules the cell out,
-    # so the buffers are also checked to hold no poison once the kernel is done.
+    # The kernel compares the grid in place: the only arrays it takes from
+    # ``empty`` are its bool comparison masks, whose entries past either end
+    # of the rows it reads must be written False (head) or True (tail).
+    # NaN and -inf fill a bool array with True, 0.0 with False, so an entry
+    # left unwritten at the head or the tail shows under one fill or the other.
     @pytest.mark.parametrize("target", BLOCK_TARGETS)
-    @pytest.mark.parametrize("fill", [np.nan, -np.inf])
+    @pytest.mark.parametrize("fill", [np.nan, -np.inf, 0.0])
     def test_every_pad_cell_is_written(self, rng, monkeypatch, fill, target):
         use_block_target(monkeypatch, target)
         poisoned = _PoisonedNumpy(fill)
@@ -234,8 +254,7 @@ class TestPaddedBuffer:
                 got = compute_coefficients(ScalarGrid(values)).coeffs
                 assert np.array_equal(got, ownership_coefficients(values)), (dims, fill)
         assert poisoned.handed
-        for flat in poisoned.handed:  # every cell: a grid value or +inf
-            assert np.isfinite(flat).sum() + np.isposinf(flat).sum() == flat.size
+        assert all(cmp.dtype == bool for cmp in poisoned.handed)  # no float copy of the grid
 
 
 class TestCriticalPixels:
@@ -274,6 +293,20 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * g.values.nbytes, f"peak {peak / g.values.nbytes:.2f}x the grid"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_block_peak_per_pixel(self, rng, dtype):
+        # the comparison masks, one bool per pixel and relation, and the int8
+        # result set the peak; a copy of the grid in its dtype would exceed it
+        g = ScalarGrid(rng.random((256, 256)).astype(dtype))
+        assert _row_block(g.dims) == g.dims[0]  # one block
+        tracemalloc.start()
+        try:
+            compute_coefficients(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * g.size, f"peak {peak / g.size:.2f} bytes per pixel"
 
 
 class TestCoefficientFiles:
