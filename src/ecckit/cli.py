@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_thresholds(p)
     p.add_argument("--strategy", type=_parse_strategy, default="fullsweep",
                    help="fullsweep or chunked:<k>")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="checked; exact blocks run on one thread")
     p.add_argument("--output", required=True)
     p.add_argument("--emit-timing", metavar="JSON", default=None)
 
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", type=_parse_strategies, default="fullsweep,chunked:4096",
                    help="comma-separated fullsweep or chunked:<k>")
     p.add_argument("--workers", type=_parse_workers, default="1",
-                   help="comma-separated worker counts, e.g. 1,2")
+                   help="comma-separated worker counts, e.g. 1,2; exact blocks run on one thread")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--kind", choices=KINDS, default="uniform-random")
     p.add_argument("--seed", type=int, default=0)

@@ -40,6 +40,7 @@ across which a flat neighbor wraps into another row.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -170,6 +171,16 @@ def _row_block(dims: tuple[int, ...], target_elems: int = 65536) -> int:
     return int(np.clip(target_elems // max(row, 1), 1, dims[0]))
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless an integer >= 1."""
+    try:
+        if operator.index(value) >= 1:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _fan_out(fn, n: int, step: int, workers: int):
     """Sum of ``fn(start, stop)`` over the blocks of ``step`` items covering range(n).
 
@@ -180,10 +191,8 @@ def _fan_out(fn, n: int, step: int, workers: int):
     one empty block ``fn(0, 0)``, and input of a single block runs on the
     calling thread without starting a pool.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     starts = range(0, max(n, 1), step)
-    w = min(workers, len(starts))
+    w = min(_positive_int("workers", workers), len(starts))
     cuts = [len(starts) * k // w for k in range(w + 1)]
 
     def run(b0, b1):

@@ -124,8 +124,8 @@ class ThresholdSet:
     halving round per bit of the fullest bucket's count; evenly spaced
     thresholds of ordinary magnitude a float32 ulp apart or more take one.
     The table is built on first use for each values dtype and cached.  It is a
-    pure function of the set, so when two workers both build it the duplicate
-    is harmless and no lock is needed.  Calls with fewer than one value per 64
+    pure function of the set, so two caller threads that build it at once build
+    the same table and need no lock.  Calls with fewer than one value per 64
     thresholds search directly and build no table.
     """
 

@@ -65,18 +65,10 @@ class SoftEccParams:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"sharpness must be finite and positive, got {self.lam}")
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"direction scale must be finite, got {self.alpha}")
         u = np.asarray(self.u, dtype=np.float64).ravel()
         if u.size not in (2, 3):
             raise ValueError(f"direction must have 2 or 3 components, got {u.size}")
-        if not np.isfinite(u).all():
-            raise ValueError("direction must be finite")
-        if abs(np.linalg.norm(u) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(
-                f"direction must be unit length within {UNIT_NORM_TOL}, "
-                f"got norm {np.linalg.norm(u)!r}"
-            )
+        _check_tilt(self.alpha, u)
         object.__setattr__(self, "u", u)
 
 
@@ -105,9 +97,11 @@ def _positions(dims, flat: np.ndarray) -> np.ndarray:
 
 
 def effective_field(grid: ScalarGrid, alpha: float, u) -> ScalarGrid:
-    """The field X + alpha * <u, p> whose sublevel sets the soft curve probes."""
+    """The field X + alpha * <u, p> whose sublevel sets the soft curve probes;
+    ``alpha`` and ``u`` are checked as :class:`SoftEccParams` checks them."""
     u = np.asarray(u, dtype=np.float64).ravel()
     _check_direction(grid, u)
+    _check_tilt(alpha, u)
     shifted = grid.values.astype(np.float64)  # a float32 copy would round the shift
     for a, d in enumerate(grid.dims):
         # axis a's vector, shaped to broadcast along axis a
@@ -128,6 +122,17 @@ def reparametrize_direction(v) -> np.ndarray:
 def _check_direction(grid: ScalarGrid, u: np.ndarray):
     if u.size != grid.ndim:
         raise ValueError(f"direction has {u.size} components for a {grid.ndim}D grid")
+
+
+def _check_tilt(alpha, u: np.ndarray):
+    """Raise ``ValueError`` unless ``alpha`` is finite and ``u`` a finite unit vector."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"direction scale must be finite, got {alpha}")
+    if not np.isfinite(u).all():
+        raise ValueError("direction must be finite")
+    norm = np.linalg.norm(u)
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"direction must be unit length within {UNIT_NORM_TOL}, got norm {norm!r}")
 
 
 def _critical_set(grid: ScalarGrid, coeffs: CoefficientGrid, alpha: float, u: np.ndarray):

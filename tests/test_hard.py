@@ -23,7 +23,8 @@ from ecckit import (
     uniform_thresholds,
 )
 from ecckit.coefficients import _fan_out
-from ecckit.hard import _block_counts, _span_counts
+from ecckit.hard import _span_counts
+from ecckit.soft import SoftEccParams, soft_ecc, soft_ecc_backward
 
 from conftest import random_f32_grid, random_int_grid
 
@@ -137,26 +138,26 @@ class TestStrategyEquivalence:
 class TestCompaction:
     def test_blocks_on_both_sides_of_the_compaction_rule(self, rng, monkeypatch):
         # 256 columns make 256-row blocks: rows [0, 300) are constant, so
-        # their coefficients vanish and those blocks are compacted; the
-        # random rows are ~60% critical and are binned whole
+        # their coefficients vanish; the random rows are ~60% critical.
+        # Every block, of either kind, is compacted to its critical pixels
         vals = np.full((512, 256), 4.5)
         vals[300:] = rng.integers(0, 10, (212, 256))
         g = ScalarGrid(vals)
         taus = ThresholdSet(np.unique(vals))
         want = oracle_ecc(g, taus).values
 
-        blocks, compacted = [], []  # list.append is atomic across worker threads
-        block_counts, critical = ecckit.hard._block_counts, ecckit.hard._critical_pixels
+        blocks, compacted = [], []
+        span_counts, critical = ecckit.hard._span_counts, ecckit.hard._critical_pixels
 
-        def counting_block_counts(*args):
+        def counting_span_counts(*args):
             blocks.append(1)
-            return block_counts(*args)
+            return span_counts(*args)
 
         def counting_critical(*args):
             compacted.append(1)
             return critical(*args)
 
-        monkeypatch.setattr(ecckit.hard, "_block_counts", counting_block_counts)
+        monkeypatch.setattr(ecckit.hard, "_span_counts", counting_span_counts)
         monkeypatch.setattr(ecckit.hard, "_critical_pixels", counting_critical)
         for strategy in (FullSweep(), Chunked(4096)):
             for workers in (1, 2, 8):
@@ -164,7 +165,7 @@ class TestCompaction:
                 compacted.clear()
                 got = compute_ecc(g, taus, strategy, workers).values
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
-                assert 0 < len(compacted) < len(blocks), (strategy, workers)
+                assert 0 < len(compacted) == len(blocks), (strategy, workers)
 
 
 class TestStepAssembly:
@@ -184,8 +185,8 @@ class TestStepAssembly:
 
     def test_sparse_pairs_and_dense_counts_both_run(self, rng, monkeypatch):
         # 256 columns make 256-row blocks: rows [0, 300) are a plateau with
-        # one dip, compacted to fewer critical pixels than thresholds; the
-        # random rows are binned whole, more pixels than thresholds
+        # one dip, fewer critical pixels than thresholds; the random rows
+        # hold more critical pixels than thresholds
         vals = np.full((512, 256), 4.5)
         vals[100, 100] = 3.0
         vals[300:] = rng.integers(0, 1000, (212, 256))
@@ -193,16 +194,16 @@ class TestStepAssembly:
         taus = ThresholdSet(np.unique(vals))
         want = dense_reference(g, taus)
 
-        kinds = []  # list.append is atomic across worker threads
-        block_counts = ecckit.hard._block_counts
+        kinds = []
+        span_counts = ecckit.hard._span_counts
 
         def spy(*args):
-            pairs = block_counts(*args)
+            pairs = span_counts(*args)
             # sparse pairs carry the int8 coefficients, dense ones float64 counts
             kinds.append(pairs[0][1].dtype.kind)
             return pairs
 
-        monkeypatch.setattr(ecckit.hard, "_block_counts", spy)
+        monkeypatch.setattr(ecckit.hard, "_span_counts", spy)
         for strategy in (FullSweep(), Chunked(4096)):
             for workers in (1, 2, 8):
                 kinds.clear()
@@ -260,8 +261,9 @@ class TestStepAssembly:
 
 class TestFanOut:
     def test_pool_only_for_more_than_one_block(self, rng, pool_sizes):
-        # 256 columns make 256-row blocks; Chunked stays sequential
-        cases = ((256, FullSweep(), []), (512, FullSweep(), [2]), (512, Chunked(64), []))
+        # 256 columns make 256-row blocks; every exact block runs on the
+        # calling thread, at any worker count
+        cases = ((256, FullSweep(), []), (512, FullSweep(), []), (512, Chunked(64), []))
         for rows, strategy, want in cases:
             g = ScalarGrid(rng.integers(0, 10, (rows, 256)).astype(np.float64))
             pool_sizes.clear()
@@ -315,8 +317,8 @@ class TestSpanCounts:
             for start, stop in spans:
                 if start == stop:
                     continue
-                want = _block_counts(values[start:stop], coeffs[start:stop], taus)
-                want = dense_counts(want, taus)
+                bins = taus.bin_indices(values[start:stop])
+                want = dense_counts([(bins, coeffs[start:stop])], taus)
                 got = dense_counts(_span_counts(g, taus, start, stop), taus)
                 assert got.tobytes() == want.tobytes(), (g.dims, start, stop)
 
@@ -330,6 +332,30 @@ class TestValidation:
     def test_bad_chunk_len(self):
         with pytest.raises(ValueError):
             Chunked(0)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), "2", None],
+                             ids=["float", "integral-float", "numpy-float", "str", "none"])
+    def test_non_integer_workers_and_chunk_len(self, rng, bad):
+        with pytest.raises(ValueError, match="chunk_len must be an integer"):
+            Chunked(bad)
+        for rows in (8, 512):  # one block, and two of 256 rows
+            g = ScalarGrid(rng.random((rows, 256)))
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                compute_ecc(g, uniform_thresholds(g, 9), FullSweep(), bad)
+        coeffs = compute_coefficients(g)
+        params = SoftEccParams(lam=5.0, alpha=0.0, u=np.array([1.0, 0.0]),
+                               taus=uniform_thresholds(g, 9))
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            soft_ecc(g, coeffs, params, bad)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            soft_ecc_backward(g, coeffs, params, np.ones(9), bad)
+
+    def test_integer_types_are_accepted(self, rng):
+        g = ScalarGrid(rng.random((512, 256)))
+        taus = uniform_thresholds(g, 9)
+        want = compute_ecc(g, taus).values
+        for strategy, workers in ((Chunked(np.int64(4096)), np.int32(2)), (FullSweep(), True)):
+            assert compute_ecc(g, taus, strategy, workers).values.tobytes() == want.tobytes()
 
     def test_parse_strategy(self):
         assert parse_strategy("fullsweep") == FullSweep()

@@ -206,6 +206,20 @@ class TestEffectiveField:
         with pytest.raises(ValueError, match=f"{len(u)} components for a {len(dims)}D grid"):
             effective_field(ScalarGrid(np.zeros(dims)), 0.3, u)
 
+    @pytest.mark.parametrize("alpha, u, message", [
+        (np.nan, [1.0, 0.0], "direction scale must be finite"),
+        (np.inf, [1.0, 0.0], "direction scale must be finite"),
+        (0.3, [np.nan, 1.0], "direction must be finite"),
+        (0.3, [3.0, 4.0], "direction must be unit length"),
+        (0.0, [0.0, 0.0], "direction must be unit length"),
+    ])
+    def test_alpha_and_direction_checked_as_params_check_them(self, alpha, u, message):
+        grid = ScalarGrid(np.zeros((4, 5)))
+        with pytest.raises(ValueError, match=message):
+            effective_field(grid, alpha, u)
+        with pytest.raises(ValueError, match=message):
+            SoftEccParams(lam=1.0, alpha=alpha, u=u, taus=ThresholdSet([0.0]))
+
 
 class TestBackwardClosedForm:
     def test_single_pixel(self):
