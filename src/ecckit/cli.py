@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0, help="direction scale")
     p.add_argument("--direction", type=_parse_direction, default=None,
                    help="direction components, normalized internally")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="threads computing sigmoid blocks")
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")

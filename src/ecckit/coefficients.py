@@ -40,7 +40,6 @@ across which a flat neighbor wraps into another row.
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -53,6 +52,7 @@ from .grid import (
     VERSION_COEFF,
     CorruptionError,
     ScalarGrid,
+    _positive_int,
     _read_payload,
     _write_payload,
 )
@@ -171,37 +171,24 @@ def _row_block(dims: tuple[int, ...], target_elems: int = 65536) -> int:
     return int(np.clip(target_elems // max(row, 1), 1, dims[0]))
 
 
-def _positive_int(name: str, value) -> int:
-    """``value`` as an int; ``ValueError`` naming ``name`` unless an integer >= 1."""
-    try:
-        if operator.index(value) >= 1:
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _fan_out(fn, n: int, step: int, workers: int):
     """Sum of ``fn(start, stop)`` over the blocks of ``step`` items covering range(n).
 
-    Of ``nb`` blocks, worker k of w takes blocks ``nb * k // w`` up to
-    ``nb * (k + 1) // w`` and adds them, in order and in place, into its
-    first block's result; the worker sums are then added in worker order.
-    Block boundaries are the same at every worker count, empty input is
-    one empty block ``fn(0, 0)``, and input of a single block runs on the
-    calling thread without starting a pool.
+    Each block is one task, its result added in place into the first in
+    block order, whichever thread computed it: the sum is bit-identical at
+    every worker count.  Empty input is one empty block ``fn(0, 0)``; one
+    worker or one block runs on the calling thread, starting no pool.
     """
     starts = range(0, max(n, 1), step)
     w = min(_positive_int("workers", workers), len(starts))
-    cuts = [len(starts) * k // w for k in range(w + 1)]
 
-    def run(b0, b1):
-        return reduce(iadd, (fn(start, min(n, start + step)) for start in starts[b0:b1]))
+    def block(start):
+        return fn(start, min(n, start + step))
 
     if w == 1:
-        return run(0, len(starts))
+        return reduce(iadd, map(block, starts))
     with ThreadPoolExecutor(max_workers=w) as pool:
-        return reduce(iadd, pool.map(run, cuts[:-1], cuts[1:]))
+        return reduce(iadd, pool.map(block, starts))
 
 
 def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:

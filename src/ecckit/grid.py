@@ -28,6 +28,7 @@ ones.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from pathlib import Path
 
@@ -190,6 +191,16 @@ class ThresholdSet:
         return idx
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless an integer >= 1."""
+    try:
+        if operator.index(value) >= 1:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def uniform_thresholds(grid: ScalarGrid, bins: int) -> ThresholdSet:
     """Right edges of `bins` equal-width intervals spanning the value range.
 
@@ -197,8 +208,7 @@ def uniform_thresholds(grid: ScalarGrid, bins: int) -> ThresholdSet:
     the single threshold [max], as do near-degenerate spacings whose edges
     are not distinct in float64.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    bins = _positive_int("bins", bins)
     lo, hi = grid._range
     frac = np.arange(1, bins + 1) / bins
     if np.isfinite(hi - lo):

@@ -28,8 +28,8 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import _coefficient_rows, _critical_pixels, _fan_out, _positive_int, _row_block
-from .grid import EulerCurve, ScalarGrid, ThresholdSet
+from .coefficients import _coefficient_rows, _critical_pixels, _fan_out, _row_block
+from .grid import EulerCurve, ScalarGrid, ThresholdSet, _positive_int
 
 
 @dataclass(frozen=True)

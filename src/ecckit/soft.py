@@ -30,12 +30,11 @@ curve is ``(sum_p c t + sum_p c) / 2``, and sigmoid' = lam (1 - t^2) / 4.
 or threshold in a copy, or by shifting the offsets for a bumped direction.
 Critical pixels are taken in blocks that bound the sigmoid block to
 ``_BLOCK_ENTRIES`` entries, and the blocks are summed by the block loop
-the exact path uses too: each worker adds a contiguous run of whole
-blocks in order, in float64, and the worker sums are added in worker
-order; input of one block runs on the calling thread.  A backward block
-returns its ``d_tau`` and ``d_u`` partials as one array, so that loop sums
-both.  Repeated runs at a fixed worker count are bit-identical; across worker
-counts results agree to ~1e-10.
+the exact path uses too: ``workers`` threads compute blocks, whose float64
+results are added in block order, so every output is bit-identical at
+every worker count; input of one block runs on the calling thread.  A
+backward block returns its ``d_tau`` and ``d_u`` partials as one array,
+so that loop sums both.
 """
 
 from __future__ import annotations
@@ -111,11 +110,11 @@ def effective_field(grid: ScalarGrid, alpha: float, u) -> ScalarGrid:
 
 
 def reparametrize_direction(v) -> np.ndarray:
-    """Map an unconstrained vector onto the unit sphere by normalization."""
+    """Map a vector of finite norm above 1e-12 onto the unit sphere by normalization."""
     v = np.asarray(v, dtype=np.float64).ravel()
     norm = float(np.linalg.norm(v))
-    if norm <= 1e-12:
-        raise ValueError(f"direction vector too close to zero (norm {norm!r})")
+    if not 1e-12 < norm < np.inf:  # NaN fails both: a NaN or infinite entry, or overflow
+        raise ValueError(f"direction vector needs a finite norm above 1e-12, got {norm!r}")
     return v / norm
 
 

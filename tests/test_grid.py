@@ -411,8 +411,9 @@ class TestUniformThresholds:
         assert np.array_equal(uniform_thresholds(g, 4).taus, [0.0, 1.0, 2.0, 3.0])
 
     def test_zero_bins_rejected(self):
-        with pytest.raises(ValueError):
-            uniform_thresholds(ScalarGrid(np.zeros((2, 2))), 0)
+        for bins in (0, -3, 2.5, 2.0, "4"):  # a fractional count would round up silently
+            with pytest.raises(ValueError, match="bins must be an integer >= 1"):
+                uniform_thresholds(ScalarGrid(np.zeros((2, 2))), bins)
 
     def test_finite_spans_keep_the_equal_width_formula(self, rng):
         for _ in range(25):

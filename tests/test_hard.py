@@ -1,6 +1,7 @@
 """Histogram accumulation: strategies, worker fan-out and oracle equivalence."""
 
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -270,21 +271,22 @@ class TestFanOut:
             compute_ecc(g, uniform_thresholds(g, 9), strategy, workers=8)
             assert pool_sizes == want, (rows, strategy)
 
-    def test_workers_take_exact_integer_shares_of_blocks(self, monkeypatch):
-        spans = []
+    def test_one_task_per_block_summed_in_block_order(self, monkeypatch):
+        tasks = []
 
         class RecordingPool(ThreadPoolExecutor):
-            def map(self, fn, *starts_and_stops):
-                spans.extend(zip(*starts_and_stops))
-                return super().map(fn, *starts_and_stops)
+            def map(self, fn, starts):
+                tasks.extend(starts)
+                return super().map(fn, starts)
+
+        def block(start, stop):  # later blocks finish first; the sum lists the blocks
+            time.sleep((30 - start) * 1e-3)
+            return [(start, stop)]
 
         monkeypatch.setattr(ecckit.coefficients, "ThreadPoolExecutor", RecordingPool)
-        # 30 blocks over 22 workers: the first 11 workers hold exactly 15
-        total = _fan_out(lambda start, stop: np.ones(1), 30, 1, 22)
-        assert total[0] == 30
-        assert len(spans) == 22 and spans[0][0] == 0 and spans[-1][1] == 30
-        assert all(b0 < b1 for b0, b1 in spans)
-        assert spans[10][1] == 15
+        spans = [(start, min(30, start + 4)) for start in range(0, 30, 4)]
+        assert _fan_out(block, 30, 4, 1) == spans and tasks == []
+        assert _fan_out(block, 30, 4, 3) == spans and tasks == [start for start, _ in spans]
 
 
 def dense_counts(pairs, taus):
