@@ -5,7 +5,7 @@ computes every chunk's coefficients on its own halo box and appends its
 (bin, weight) pairs to the running list.  Checksums of the resulting curves gate the timings: a
 divergence aborts the run.
 
-Run:  python demos/03_benchmark_scaling.py  (takes a minute or so)
+Run:  python demos/03_benchmark_scaling.py  (a few seconds)
 """
 
 from ecckit import Chunked, FullSweep, run_benchmark, write_report_csv, write_report_json
@@ -14,7 +14,6 @@ report = run_benchmark(
     sizes=[(128, 128), (256, 256), (512, 512), (1024, 1024), (64, 64, 64)],
     bins=256,
     strategies=[FullSweep(), Chunked(4096)],
-    workers=[1],
     repeats=5,
     kind="uniform-random",
     seed=7,

@@ -2,9 +2,8 @@
 
 Times are wall-clock medians over a number of repeats after one unmeasured
 warm-up run.  Before any timing is reported, the curves produced by every
-(strategy, workers) combination on the same grid must agree checksum-for-
-checksum; a benchmark of a wrong answer is meaningless, so divergence
-aborts the report.
+strategy on the same grid must agree checksum-for-checksum; a benchmark of
+a wrong answer is meaningless, so divergence aborts the report.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import EulerCurve, ScalarGrid, uniform_thresholds
+from .grid import EulerCurve, ScalarGrid, _positive_int, uniform_thresholds
 from .hard import Strategy, compute_ecc
 from .synthetic import SyntheticSpec, generate_grid
 
@@ -30,21 +29,20 @@ class ChecksumMismatch(RuntimeError):
 def curve_checksum(curve: EulerCurve) -> str:
     """Order-sensitive digest of a curve's thresholds and values."""
     h = hashlib.sha256()
-    h.update(curve.taus.astype("<f8").tobytes())
+    h.update(np.ascontiguousarray(curve.taus, "<f8"))
     wire = "<i8" if curve.is_integral else "<f8"
     h.update(wire.encode())
-    h.update(curve.values.astype(wire).tobytes())
+    h.update(np.ascontiguousarray(curve.values, wire))
     return h.hexdigest()
 
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One timed (grid, strategy, workers) combination."""
+    """One timed (grid, strategy) combination."""
 
     dims: tuple[int, ...]
     bins: int
     strategy: str
-    workers: int
     repeats: int
     wall_ms: float
     checksum: str
@@ -56,13 +54,13 @@ class BenchReport:
     meta: dict = field(default_factory=dict)
 
 
-def time_compute(grid: ScalarGrid, taus, strategy: Strategy, workers: int, repeats: int):
+def time_compute(grid: ScalarGrid, taus, strategy: Strategy, repeats: int):
     """Median wall time (ms) of end-to-end curve computation, plus the curve."""
-    curve = compute_ecc(grid, taus, strategy, workers)  # warm-up, result reused
+    curve = compute_ecc(grid, taus, strategy)  # warm-up, result reused
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        compute_ecc(grid, taus, strategy, workers)
+        compute_ecc(grid, taus, strategy)
         samples.append(time.perf_counter() - t0)
     return float(np.median(samples) * 1e3), curve
 
@@ -71,18 +69,16 @@ def run_benchmark(
     sizes,
     bins: int,
     strategies,
-    workers,
     repeats: int = 5,
     kind: str = "uniform-random",
     seed: int = 0,
 ) -> BenchReport:
-    """Time every (size, strategy, workers) combination on one grid per size.
+    """Time every (size, strategy) combination on one grid per size.
 
-    Raises :class:`ChecksumMismatch` before reporting if any combination
+    Raises :class:`ChecksumMismatch` before reporting if any strategy
     disagrees on the curve for a given grid.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    repeats = _positive_int("repeats", repeats)
     report = BenchReport(
         meta={
             "kind": kind,
@@ -97,21 +93,18 @@ def run_benchmark(
         taus = uniform_thresholds(grid, bins)
         seen: dict[str, str] = {}
         for strategy in strategies:
-            for w in workers:
-                wall_ms, curve = time_compute(grid, taus, strategy, w, repeats)
-                digest = curve_checksum(curve)
-                seen[f"{strategy} workers={w}"] = digest
-                report.rows.append(
-                    BenchRow(
-                        dims=tuple(dims),
-                        bins=len(taus),
-                        strategy=str(strategy),
-                        workers=w,
-                        repeats=repeats,
-                        wall_ms=wall_ms,
-                        checksum=digest,
-                    )
+            wall_ms, curve = time_compute(grid, taus, strategy, repeats)
+            digest = seen[str(strategy)] = curve_checksum(curve)
+            report.rows.append(
+                BenchRow(
+                    dims=tuple(dims),
+                    bins=len(taus),
+                    strategy=str(strategy),
+                    repeats=repeats,
+                    wall_ms=wall_ms,
+                    checksum=digest,
                 )
+            )
         if len(set(seen.values())) > 1:
             detail = ", ".join(f"{k}: {v[:12]}" for k, v in seen.items())
             raise ChecksumMismatch(f"curves diverged on dims {tuple(dims)}: {detail}")
@@ -128,9 +121,9 @@ def write_report_json(report: BenchReport, path) -> None:
 def write_report_csv(report: BenchReport, path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["dims", "bins", "strategy", "workers", "repeats", "wall_ms", "checksum"])
+        writer.writerow(["dims", "bins", "strategy", "repeats", "wall_ms", "checksum"])
         for r in report.rows:
             writer.writerow(
-                ["x".join(map(str, r.dims)), r.bins, r.strategy, r.workers,
+                ["x".join(map(str, r.dims)), r.bins, r.strategy,
                  r.repeats, f"{r.wall_ms:.6g}", r.checksum]
             )

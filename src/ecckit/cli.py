@@ -8,7 +8,7 @@ Subcommands::
     ecc soft       smoothed (differentiable) curve
     ecc gradcheck  finite-difference validation of the analytic gradients
     ecc coeffs     dump per-pixel coefficients (version-2 grid file)
-    ecc bench      timing study across strategies and worker counts
+    ecc bench      timing study across strategies
 """
 
 from __future__ import annotations
@@ -67,13 +67,6 @@ def _parse_strategies(text: str) -> list:
     return [_parse_strategy(s) for s in text.split(",")]
 
 
-def _parse_workers(text: str) -> list[int]:
-    try:
-        return [int(w) for w in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of ints")
-
-
 def _parse_direction(text: str) -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",")], dtype=np.float64)
@@ -130,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_thresholds(p)
     p.add_argument("--strategy", type=_parse_strategy, default="fullsweep",
                    help="fullsweep or chunked:<k>")
-    p.add_argument("--workers", type=int, default=1, help="checked; exact blocks run on one thread")
     p.add_argument("--output", required=True)
     p.add_argument("--emit-timing", metavar="JSON", default=None)
 
@@ -168,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=256)
     p.add_argument("--strategies", type=_parse_strategies, default="fullsweep,chunked:4096",
                    help="comma-separated fullsweep or chunked:<k>")
-    p.add_argument("--workers", type=_parse_workers, default="1",
-                   help="comma-separated worker counts, e.g. 1,2; exact blocks run on one thread")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--kind", choices=KINDS, default="uniform-random")
     p.add_argument("--seed", type=int, default=0)
@@ -189,13 +179,12 @@ def _cmd_compute(args) -> int:
     grid = read_grid(args.input)
     taus = _thresholds(grid, args)
     t0 = time.perf_counter()
-    curve = compute_ecc(grid, taus, args.strategy, args.workers)
+    curve = compute_ecc(grid, taus, args.strategy)
     wall_ms = (time.perf_counter() - t0) * 1e3
     write_curve(curve, args.output)
     if args.emit_timing:
         payload = {
             "strategy": str(args.strategy),
-            "workers": args.workers,
             "dims": list(grid.dims),
             "bins": len(taus),
             "wall_ms": wall_ms,
@@ -250,7 +239,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_bench(args) -> int:
     try:
         report = bench_mod.run_benchmark(
-            args.sizes, args.bins, args.strategies, args.workers,
+            args.sizes, args.bins, args.strategies,
             repeats=args.repeats, kind=args.kind, seed=args.seed,
         )
     except bench_mod.ChecksumMismatch as exc:
@@ -258,8 +247,7 @@ def _cmd_bench(args) -> int:
         return 3
     for row in report.rows:
         dims = "x".join(map(str, row.dims))
-        print(f"{dims:>14}  {row.strategy:>14}  workers={row.workers}  "
-              f"{row.wall_ms:10.3f} ms")
+        print(f"{dims:>14}  {row.strategy:>14}  {row.wall_ms:10.3f} ms")
     if args.report:
         bench_mod.write_report_json(report, args.report)
     if args.csv:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarGrid
+from .grid import ScalarGrid, _positive_int
 
 KINDS = ("uniform-random", "gaussian-blobs", "radial-gradient")
 
@@ -34,12 +34,11 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) not in (2, 3) or any(d < 1 for d in dims):
+        dims = tuple(_positive_int("each dims extent", d) for d in self.dims)
+        if len(dims) not in (2, 3):
             raise ValueError(f"dims must be 2 or 3 positive extents, got {dims}")
         object.__setattr__(self, "dims", dims)
-        if self.blobs < 1:
-            raise ValueError(f"blobs must be >= 1, got {self.blobs}")
+        _positive_int("blobs", self.blobs)
         if self.blob_width is not None and not self.blob_width > 0:
             raise ValueError(f"blob_width must be positive, got {self.blob_width}")
 

@@ -1,6 +1,7 @@
 """Benchmark harness: timing records and the correctness gate."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -24,7 +25,6 @@ def tiny_report():
         sizes=[(12, 12), (8, 8, 8)],
         bins=16,
         strategies=[FullSweep(), Chunked(37)],
-        workers=[1, 2],
         repeats=3,
         seed=5,
     )
@@ -33,7 +33,7 @@ def tiny_report():
 class TestRunBenchmark:
     def test_rows_and_checksums(self):
         report = tiny_report()
-        assert len(report.rows) == 2 * 2 * 2
+        assert len(report.rows) == 2 * 2
         for dims in [(12, 12), (8, 8, 8)]:
             digests = {r.checksum for r in report.rows if r.dims == dims}
             assert len(digests) == 1
@@ -51,25 +51,26 @@ class TestRunBenchmark:
                 return next(cls.ticks)
 
         monkeypatch.setattr(bench_mod, "time", FakeTime)
-        report = run_benchmark([(4, 4)], 4, [FullSweep()], [1], repeats=3)
+        report = run_benchmark([(4, 4)], 4, [FullSweep()], repeats=3)
         assert report.rows[0].wall_ms == pytest.approx(4.0 * 1e3)
 
     def test_gate_aborts_on_divergence(self, monkeypatch):
         real_compute = bench_mod.compute_ecc
 
-        def corrupted(grid, taus, strategy, workers):
-            curve = real_compute(grid, taus, strategy, workers)
+        def corrupted(grid, taus, strategy):
+            curve = real_compute(grid, taus, strategy)
             if isinstance(strategy, Chunked):
                 return EulerCurve(curve.taus, curve.values + 1)
             return curve
 
         monkeypatch.setattr(bench_mod, "compute_ecc", corrupted)
         with pytest.raises(ChecksumMismatch):
-            run_benchmark([(6, 6)], 4, [FullSweep(), Chunked(9)], [1], repeats=1)
+            run_benchmark([(6, 6)], 4, [FullSweep(), Chunked(9)], repeats=1)
 
     def test_bad_repeats(self):
-        with pytest.raises(ValueError):
-            run_benchmark([(4, 4)], 4, [FullSweep()], [1], repeats=0)
+        for repeats in (0, -1, 2.5, "3", None):
+            with pytest.raises(ValueError, match="repeats"):
+                run_benchmark([(4, 4)], 4, [FullSweep()], repeats=repeats)
 
 
 class TestChecksum:
@@ -79,6 +80,31 @@ class TestChecksum:
         b = curve_checksum(EulerCurve(taus, np.array([1, 1], dtype=np.int64)))
         c = curve_checksum(EulerCurve(taus + 1, np.array([0, 1], dtype=np.int64)))
         assert len({a, b, c}) == 3
+
+    @staticmethod
+    def copying_checksum(curve):
+        # the formula before hashing without copies: astype, then tobytes
+        h = hashlib.sha256()
+        h.update(curve.taus.astype("<f8").tobytes())
+        wire = "<i8" if curve.is_integral else "<f8"
+        h.update(wire.encode())
+        h.update(curve.values.astype(wire).tobytes())
+        return h.hexdigest()
+
+    def test_matches_copying_formula(self):
+        rng = np.random.default_rng(0)
+        taus = np.sort(rng.random(41))
+        curves = [
+            EulerCurve(taus, rng.integers(-50, 50, 41)),  # int curve
+            EulerCurve(taus, rng.normal(size=41)),  # float curve
+            EulerCurve(taus[::2], rng.integers(-5, 5, 21)),  # non-contiguous taus view
+            EulerCurve(taus.astype(">f8"), rng.normal(size=41).astype(">f8")),  # big-endian
+            EulerCurve(taus.astype(">f8"), rng.integers(-5, 5, 41).astype(">i8")),
+        ]
+        assert not curves[2].taus.flags.c_contiguous
+        assert not curves[3].values.dtype.isnative and not curves[4].values.dtype.isnative
+        for curve in curves:
+            assert curve_checksum(curve) == self.copying_checksum(curve)
 
     def test_stable(self):
         taus = np.array([0.25, 0.5])
@@ -96,8 +122,7 @@ class TestReportWriters:
         assert payload["meta"]["repeats"] == 3
         assert len(payload["rows"]) == len(report.rows)
         row = payload["rows"][0]
-        for key in ("dims", "bins", "strategy", "workers", "repeats", "wall_ms", "checksum"):
-            assert key in row
+        assert list(row) == ["dims", "bins", "strategy", "repeats", "wall_ms", "checksum"]
 
     def test_csv(self, tmp_path):
         report = tiny_report()
@@ -106,6 +131,7 @@ class TestReportWriters:
         with open(path) as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == len(report.rows)
+        assert list(rows[0]) == ["dims", "bins", "strategy", "repeats", "wall_ms", "checksum"]
         assert rows[0]["dims"] == "12x12"
         assert rows[0]["strategy"] in ("fullsweep", "chunked:37")
         float(rows[0]["wall_ms"])

@@ -44,17 +44,26 @@ class TestCompute:
         out = tmp_path / "curve.csv"
         timing = tmp_path / "timing.json"
         assert run("compute", "--input", grid_file, "--bins", "32",
-                   "--strategy", "fullsweep", "--workers", "2",
+                   "--strategy", "fullsweep",
                    "--output", out, "--emit-timing", timing) == 0
         curve = read_curve(out)
         assert curve.is_integral
         assert curve.values[-1] == 1
         record = json.loads(timing.read_text())
+        assert sorted(record) == ["bins", "dims", "strategy", "wall_ms"]
         assert record["strategy"] == "fullsweep"
-        assert record["workers"] == 2
         assert record["dims"] == [24, 20]
         assert record["bins"] == 32
         assert record["wall_ms"] > 0
+
+    def test_workers_option_is_gone(self, grid_file, tmp_path, capsys):
+        # exact blocks run on the calling thread, so a worker count would change nothing
+        with pytest.raises(SystemExit) as exc:
+            run("compute", "--input", grid_file, "--bins", "8", "--workers", "2",
+                "--output", tmp_path / "curve.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --workers" in err
 
     def test_chunked_strategy_matches(self, grid_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -131,6 +140,13 @@ class TestSoft:
                    "--alpha", "0.4", "--direction", "3,4", "--output", out) == 0
         assert len(read_curve(out)) == 6
 
+    def test_workers_compute_blocks(self, grid_file, tmp_path):
+        outs = [tmp_path / f"soft{w}.csv" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert run("soft", "--input", grid_file, "--bins", "6", "--lambda", "10",
+                       "--workers", w, "--output", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_direction_of_wrong_length_rejected(self, grid_file, tmp_path, capsys):
         code = run("soft", "--input", grid_file, "--bins", "6", "--lambda", "10",
                    "--direction", "1,0,0", "--output", tmp_path / "soft.csv")
@@ -167,15 +183,23 @@ class TestBench:
         report = tmp_path / "bench.json"
         csv_path = tmp_path / "bench.csv"
         code = run("bench", "--sizes", "12x12,6x6x6", "--bins", "8",
-                   "--strategies", "fullsweep,chunked:50", "--workers", "1,2",
+                   "--strategies", "fullsweep,chunked:50",
                    "--repeats", "2", "--seed", "3",
                    "--report", report, "--csv", csv_path)
         assert code == 0
         printed = capsys.readouterr().out
         assert "fullsweep" in printed and "chunked:50" in printed
         payload = json.loads(report.read_text())
-        assert len(payload["rows"]) == 8
-        assert csv_path.read_text().startswith("dims,")
+        assert len(payload["rows"]) == 4
+        assert all("workers" not in row for row in payload["rows"])
+        assert csv_path.read_text().startswith("dims,bins,strategy,repeats,")
+
+    def test_workers_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "--sizes", "8x8", "--workers", "1")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --workers" in err
 
     @pytest.mark.parametrize("sizes", ["12x", "12", "axb", "8x8x8x8", "12x12,7"])
     def test_bad_size_is_a_usage_error(self, sizes, capsys):
@@ -187,8 +211,6 @@ class TestBench:
     @pytest.mark.parametrize("option, text, form", [
         ("--strategies", "chunked:x", "fullsweep or chunked:<k>"),
         ("--strategies", "fullsweep,chunked:", "fullsweep or chunked:<k>"),
-        ("--workers", "a", "comma list of ints"),
-        ("--workers", "1,", "comma list of ints"),
     ])
     def test_bad_strategy_or_workers_is_a_usage_error(self, option, text, form, capsys):
         with pytest.raises(SystemExit) as exc:

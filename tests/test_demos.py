@@ -1,8 +1,7 @@
-"""The quick demos run to completion against the library in ``src/``.
+"""The demos run to completion against the library in ``src/``.
 
 Each runs in a subprocess from a temporary directory, so whatever it writes
-lands there.  ``demos/03_benchmark_scaling.py`` takes about a minute and is
-left out.
+lands there.
 """
 
 import os
@@ -15,7 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_exact_curves.py", "02_soft_curves_and_gradients.py"])
+@pytest.mark.parametrize("demo", ["01_exact_curves.py", "02_soft_curves_and_gradients.py",
+                                  "03_benchmark_scaling.py"])
 def test_demo_exits_cleanly(tmp_path, demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
@@ -23,3 +23,4 @@ def test_demo_exits_cleanly(tmp_path, demo):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+

@@ -73,16 +73,22 @@ class TestValidation:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             SyntheticSpec(kind="uniform-random", dims=(4,))
-        with pytest.raises(ValueError):
-            SyntheticSpec(kind="uniform-random", dims=(0, 4))
+        for dims in [(0, 4), (4, -1, 4), (8.7, 8), (8, 8.0), ("8", 8), (8, None)]:
+            with pytest.raises(ValueError, match="dims extent"):
+                SyntheticSpec(kind="uniform-random", dims=dims)
 
     def test_capacity_cap(self):
         spec = SyntheticSpec(kind="uniform-random", dims=(1 << 16, 1 << 16))
         with pytest.raises(ValueError):
             generate_grid(spec)
 
+    def test_numpy_integer_extents_are_accepted(self):
+        spec = SyntheticSpec("uniform-random", (np.int64(12), np.int32(9)))
+        assert spec.dims == (12, 9) and all(type(d) is int for d in spec.dims)
+
     def test_bad_blob_params(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(kind="gaussian-blobs", dims=(4, 4), blobs=0)
+        for blobs in (0, -2, 2.5, "3", None):
+            with pytest.raises(ValueError, match="blobs"):
+                SyntheticSpec(kind="gaussian-blobs", dims=(4, 4), blobs=blobs)
         with pytest.raises(ValueError):
             SyntheticSpec(kind="gaussian-blobs", dims=(4, 4), blob_width=0.0)
