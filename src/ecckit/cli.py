@@ -30,7 +30,7 @@ from .grid import (
     write_curve,
     write_grid,
 )
-from .hard import compute_ecc, parse_strategy
+from .hard import _block_pixels, compute_ecc, parse_strategy
 from .oracle import oracle_ecc
 from .soft import (
     SoftEccParams,
@@ -183,10 +183,13 @@ def _cmd_compute(args) -> int:
     wall_ms = (time.perf_counter() - t0) * 1e3
     write_curve(curve, args.output)
     if args.emit_timing:
+        block = _block_pixels(grid, args.strategy)
         payload = {
             "strategy": str(args.strategy),
             "dims": list(grid.dims),
             "bins": len(taus),
+            "block_pixels": block,
+            "blocks": -(-grid.size // block),
             "wall_ms": wall_ms,
         }
         with open(args.emit_timing, "w") as f:

@@ -17,7 +17,8 @@ Every weight and sum is an integer far below 2**53, hence exact, so
 results are bit-identical across strategies and worker counts.  The
 strategies differ only in block size:
 
-* ``FullSweep``: cache-sized runs of first-axis rows.
+* ``FullSweep``: runs of first-axis rows, as many as fit a block's byte
+  budget (:func:`_row_block`): 5 rows at 128**3, 160 at 512**2.
 * ``Chunked``: a deliberately overhead-faithful baseline that walks fixed
   length chunks of the flat pixel range, each chunk on its own halo box.
 """
@@ -34,7 +35,7 @@ from .grid import EulerCurve, ScalarGrid, ThresholdSet, _positive_int
 
 @dataclass(frozen=True)
 class FullSweep:
-    """Single pass over the grid in cache-sized blocks."""
+    """Single pass over the grid in row blocks sized to a byte budget."""
 
     def __str__(self):
         return "fullsweep"
@@ -79,6 +80,15 @@ class _Pairs(list):
         return tuple(np.concatenate(a) for a in zip(*self))
 
 
+def _block_pixels(grid: ScalarGrid, strategy: Strategy) -> int:
+    """Pixels in each block ``strategy`` walks over ``grid``, the last one aside."""
+    if isinstance(strategy, FullSweep):
+        return _row_block(grid.dims) * (grid.size // grid.dims[0])
+    if isinstance(strategy, Chunked):
+        return min(strategy.chunk_len, grid.size)
+    raise TypeError(f"unknown strategy {strategy!r}")
+
+
 def _span_counts(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> _Pairs:
     """:class:`_Pairs` of one pair, the coefficient totals by bin of pixels [start, stop).
 
@@ -121,20 +131,15 @@ def compute_ecc(
 
     The result is bit-identical across strategies and worker counts.
     ``workers`` is accepted and checked, but every block runs on the calling
-    thread: a block is about 150 numpy calls on 64 KiB arrays, each holding
-    the GIL, so a second worker only waits for it.  On 2 vCPUs, over several
-    rounds, two workers ran at 0.68-0.97x the one-worker speed at 128**3 with
-    256 thresholds, 0.68-1.14x at 1024**2, and 0.18-0.54x on 512**2 blobs with
-    a threshold at every value, where a thread waits out the GIL switch interval.
+    thread: a block is about 150 numpy calls (40 in 2D) on arrays of up to
+    82,000 pixels, each holding the GIL, so a second worker only waits for
+    it.  On 2 vCPUs, two workers over the same blocks ran at 0.93x the
+    one-worker speed at 128**3 with 256 thresholds and 0.87-0.94x at
+    1024**2, at a CPU/wall ratio of 1.0, and 0.51-0.60x on 512**2 blobs
+    with a threshold at every value.
     """
     _positive_int("workers", workers)
-    if isinstance(strategy, FullSweep):
-        step = _row_block(grid.dims) * (grid.size // grid.dims[0])
-    elif isinstance(strategy, Chunked):
-        step = strategy.chunk_len
-    else:
-        raise TypeError(f"unknown strategy {strategy!r}")
-    pairs = _fan_out(partial(_span_counts, grid, taus), grid.size, step, 1)
+    pairs = _fan_out(partial(_span_counts, grid, taus), grid.size, _block_pixels(grid, strategy), 1)
     bins, weights = pairs.merged()
     if 4 * bins.size >= len(taus):  # a dense count: faster than sorting the bins, no larger
         chi = np.bincount(bins, weights, len(taus) + 1)[:-1].astype(np.int64)

@@ -50,11 +50,25 @@ class TestCompute:
         assert curve.is_integral
         assert curve.values[-1] == 1
         record = json.loads(timing.read_text())
-        assert sorted(record) == ["bins", "dims", "strategy", "wall_ms"]
+        assert sorted(record) == ["bins", "block_pixels", "blocks", "dims", "strategy", "wall_ms"]
         assert record["strategy"] == "fullsweep"
         assert record["dims"] == [24, 20]
         assert record["bins"] == 32
         assert record["wall_ms"] > 0
+
+    @pytest.mark.parametrize("dims, strategy, block_pixels, blocks", [
+        ("24x20", "fullsweep", 480, 1),  # the grid fits one block
+        ("12x128x128", "fullsweep", 5 * 128 * 128, 3),  # five 16,384-pixel rows fit the budget
+        ("24x20", "chunked:64", 64, 8),  # the last chunk holds 32 pixels
+        ("24x20", "chunked:1000", 480, 1),  # a chunk past the grid is the grid
+    ])
+    def test_timing_reports_blocks(self, tmp_path, dims, strategy, block_pixels, blocks):
+        grid, out, timing = tmp_path / "g.eccg", tmp_path / "curve.csv", tmp_path / "t.json"
+        run("generate", "--kind", "uniform-random", "--dims", dims, "--output", grid)
+        assert run("compute", "--input", grid, "--bins", "8", "--strategy", strategy,
+                   "--output", out, "--emit-timing", timing) == 0
+        record = json.loads(timing.read_text())
+        assert (record["block_pixels"], record["blocks"]) == (block_pixels, blocks)
 
     def test_workers_option_is_gone(self, grid_file, tmp_path, capsys):
         # exact blocks run on the calling thread, so a worker count would change nothing

@@ -1,5 +1,6 @@
 """Lower-star coefficients: exactness against the cell-counting oracle."""
 
+import math
 import tracemalloc
 from itertools import product
 
@@ -15,9 +16,19 @@ from ecckit import (
     compute_coefficients,
     oracle_ecc,
     read_coefficients,
+    uniform_thresholds,
     write_coefficients,
 )
-from ecckit.coefficients import _cells, _coefficient_rows, _critical_pixels, _faces, _row_block
+from ecckit.coefficients import (
+    _BLOCK_BYTES,
+    _PIXEL_BYTES,
+    _cells,
+    _coefficient_rows,
+    _critical_pixels,
+    _faces,
+    _row_block,
+)
+from ecckit.hard import _span_counts
 
 from conftest import random_f32_grid, random_int_grid
 
@@ -41,8 +52,8 @@ def ownership_coefficients(values):
 # short trailing axes, across whose edges a flat neighbor wraps into another row
 THIN_DIMS = [
     (1, 1), (1, 7), (7, 1), (2, 1), (2, 2), (2, 9), (9, 2), (6, 8),
-    (1, 1, 1), (1, 2, 3), (1, 5, 6), (3, 1, 2), (3, 2, 1), (4, 1, 1),
-    (5, 1, 6), (5, 6, 1), (2, 2, 2), (2, 5, 4), (5, 2, 4), (4, 5, 2), (5, 6, 4),
+    (1, 1, 1), (1, 2, 3), (1, 5, 6), (3, 1, 2), (3, 2, 1), (4, 1, 1), (5, 1, 6),
+    (5, 6, 1), (7, 1, 9), (9, 2, 1), (2, 2, 2), (2, 5, 4), (5, 2, 4), (4, 5, 2), (5, 6, 4),
 ]
 
 
@@ -54,13 +65,16 @@ def thin_values(rng, kind, dims, dtype=np.float64):
     return rng.random(dims).astype(dtype)
 
 
-# first-axis block targets in pixels: the default, one-row blocks, a few rows
-# each; small blocks put many block edges and halo rows in a grid
-BLOCK_TARGETS = [65536, 1, 24]
+# first-axis block targets: None for the default byte budget, then budgets of
+# 65,536, 1 and 24 pixels, several rows, one row and a few rows each; small
+# blocks put many block edges and halo rows in a grid
+BLOCK_TARGETS = [None, 65536, 1, 24]
 
 
 def use_block_target(monkeypatch, target):
-    monkeypatch.setattr(ecckit.coefficients, "_row_block", lambda dims: _row_block(dims, target))
+    if target is not None:
+        budget = target * _PIXEL_BYTES
+        monkeypatch.setattr(ecckit.coefficients, "_row_block", lambda dims: _row_block(dims, budget))
 
 
 def curve_from_coefficients(grid, coeffs, taus):
@@ -165,16 +179,18 @@ class TestInvariants:
         assert np.array_equal(base, shifted)
 
     def test_blocked_equals_whole_grid(self, rng, monkeypatch):
-        # the public entry point blocks along the first axis; the
-        # whole-grid reference is the kernel over all rows in one block
-        for target in BLOCK_TARGETS:
+        # the public entry point blocks along the first axis; the whole-grid
+        # reference is the kernel over all rows in one block.  (11, 128, 128)
+        # takes three blocks at the default budget
+        all_dims = [(24, 24), (9, 9, 9), (7, 1, 9), (9, 2, 1), (1, 5, 6), (2, 2, 2), (11, 128, 128)]
+        kinds = product(BLOCK_TARGETS, ["tied", "constant", "random"], [np.float32, np.float64])
+        for target, kind, dtype in kinds:
             use_block_target(monkeypatch, target)
-            for trial in range(10):
-                nd = 2 if trial % 2 else 3
-                g = random_int_grid(rng, nd, 24 if nd == 2 else 9)
+            for dims in all_dims:
+                g = ScalarGrid(thin_values(rng, kind, dims, dtype))
                 assert np.array_equal(
                     compute_coefficients(g).coeffs, _coefficient_rows(g.values, 0, g.dims[0])
-                )
+                ), (dims, kind, dtype, target)
 
 
 class TestOwnershipRule:
@@ -296,17 +312,74 @@ class TestMemory:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_single_block_peak_per_pixel(self, rng, dtype):
-        # the comparison masks, one bool per pixel and relation, and the int8
-        # result set the peak; a copy of the grid in its dtype would exceed it
-        g = ScalarGrid(rng.random((256, 256)).astype(dtype))
-        assert _row_block(g.dims) == g.dims[0]  # one block
+        # the cell masks held at once, one bool per pixel each, and the int8
+        # result set the peak: about 7 bytes per pixel in 2D and 19 in 3D; a
+        # copy of the grid in its dtype, or every relation's masks held to the
+        # end of the block (9.1 and 29.4), would exceed it
+        for dims, bound in [((256, 256), 7.5), ((16, 64, 64), 21)]:
+            g = ScalarGrid(rng.random(dims).astype(dtype))
+            assert _row_block(g.dims) == g.dims[0]  # one block
+            tracemalloc.start()
+            try:
+                compute_coefficients(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * g.size, f"{dims}: {peak / g.size:.2f} bytes per pixel"
+
+    def test_interior_block_peak_per_pixel(self, rng):
+        # a block of the default height between two others, which reads a halo
+        # row on each side and widens its row-crossing compares by a row
+        values = rng.random((12, 128, 128)).astype(np.float32)
+        height = _row_block(values.shape)
+        assert height == 5
         tracemalloc.start()
         try:
-            compute_coefficients(g)
+            _coefficient_rows(values, 5, 5 + height)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11 * g.size, f"peak {peak / g.size:.2f} bytes per pixel"
+        pixels = height * 128 * 128
+        assert peak <= 21 * pixels, f"peak {peak / pixels:.2f} bytes per pixel"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exact_block_peak_per_pixel(self, rng, dtype):
+        # what the block height divides the budget by: a default-height block
+        # of a uniform-random grid, about 60% of its pixels critical, through
+        # the kernel, compaction and binning
+        for dims in [(200, 512), (12, 128, 128)]:
+            g = ScalarGrid(rng.random(dims).astype(dtype))
+            row = g.size // g.dims[0]
+            start, stop = 2 * row, (2 + _row_block(g.dims)) * row
+            taus = uniform_thresholds(g, 256)
+            _span_counts(g, taus, start, stop)  # the bucket table, built once per set
+            tracemalloc.start()
+            try:
+                _span_counts(g, taus, start, stop)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            pixels = stop - start
+            assert peak <= _PIXEL_BYTES * pixels, f"{dims}: {peak / pixels:.2f} bytes per pixel"
+            assert peak <= _BLOCK_BYTES
+
+    @pytest.mark.parametrize("dims", [
+        (512, 512), (1024, 1024), (6000, 40), (128, 128, 128), (64, 50, 70), (9, 2, 1),
+        (4, 4), (3, 4, 5),  # smaller than one block
+        (3, 300_000), (2, 300, 400),  # a row larger than the budget
+    ])
+    @pytest.mark.parametrize("budget", [_BLOCK_BYTES, 10_000])
+    def test_row_block_fits_the_budget(self, dims, budget):
+        # the tallest block whose rows, at a block's bytes per pixel, fit the
+        # budget; one row when none fits, the whole grid when all do
+        height = _row_block(dims, budget)
+        row = math.prod(dims[1:]) * _PIXEL_BYTES
+        assert 1 <= height <= dims[0]
+        if row > budget:
+            assert height == 1
+        else:
+            assert height * row <= budget
+            assert height == dims[0] or (height + 1) * row > budget
 
 
 class TestCoefficientFiles:

@@ -30,6 +30,16 @@ from ecckit.soft import SoftEccParams, soft_ecc, soft_ecc_backward
 from conftest import random_f32_grid, random_int_grid
 
 
+@pytest.fixture
+def row_blocks(monkeypatch):
+    """Pins FullSweep's block height, for a test laid out around block edges."""
+
+    def pin(rows):
+        monkeypatch.setattr(ecckit.hard, "_row_block", lambda dims: rows)
+
+    return pin
+
+
 def dense_reference(g, taus):
     """Curve from a dense weighted count of whole-grid coefficients, binned by binary search."""
     coeffs = compute_coefficients(g).coeffs.ravel()
@@ -66,7 +76,7 @@ class TestFixtures:
 
 
 class TestStrategyEquivalence:
-    def test_bit_identical_across_strategies_and_workers(self, rng):
+    def test_bit_identical_across_strategies_and_workers(self, rng, row_blocks):
         for trial in range(12):
             nd = 2 if trial % 2 else 3
             g = random_int_grid(rng, nd, 14 if nd == 2 else 6)
@@ -78,8 +88,9 @@ class TestStrategyEquivalence:
                     curve = compute_ecc(g, taus, strategy, workers)
                     assert curve.values.dtype == np.int64
                     assert np.array_equal(curve.values, reference.values)
-        # 256 columns make 256-row blocks, two here: each call gets a fresh
-        # set, so workers meet its bucket table on first use
+        # blocks of 256 rows, two here: each call gets a fresh set, so
+        # workers meet its bucket table on first use
+        row_blocks(256)
         g = ScalarGrid(rng.random((512, 256)).astype(np.float32))
         uneven = np.unique(np.quantile(g.values, np.linspace(0.0, 1.0, 300) ** 2))
         switch = sys.getswitchinterval()
@@ -137,10 +148,11 @@ class TestStrategyEquivalence:
 
 
 class TestCompaction:
-    def test_blocks_on_both_sides_of_the_compaction_rule(self, rng, monkeypatch):
-        # 256 columns make 256-row blocks: rows [0, 300) are constant, so
+    def test_blocks_on_both_sides_of_the_compaction_rule(self, rng, monkeypatch, row_blocks):
+        # blocks of 256 rows: rows [0, 300) are constant, so
         # their coefficients vanish; the random rows are ~60% critical.
         # Every block, of either kind, is compacted to its critical pixels
+        row_blocks(256)
         vals = np.full((512, 256), 4.5)
         vals[300:] = rng.integers(0, 10, (212, 256))
         g = ScalarGrid(vals)
@@ -170,9 +182,10 @@ class TestCompaction:
 
 
 class TestStepAssembly:
-    def test_a_million_uneven_thresholds(self, rng):
-        # 300 columns make 218-row blocks, three of them, each with fewer
-        # pixels than thresholds
+    def test_a_million_uneven_thresholds(self, rng, row_blocks):
+        # blocks of 218 rows, three of them, each with fewer pixels than
+        # thresholds
+        row_blocks(218)
         g = ScalarGrid(rng.random((512, 300)).astype(np.float32).astype(np.float64))
         extra = rng.uniform(-0.5, 1.5, 1_000_000) ** 3
         taus = ThresholdSet(np.unique(np.concatenate([g.values.ravel()[::2], extra])))
@@ -184,10 +197,11 @@ class TestStepAssembly:
                 assert got.dtype == np.int64
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
 
-    def test_sparse_pairs_and_dense_counts_both_run(self, rng, monkeypatch):
-        # 256 columns make 256-row blocks: rows [0, 300) are a plateau with
-        # one dip, fewer critical pixels than thresholds; the random rows
-        # hold more critical pixels than thresholds
+    def test_sparse_pairs_and_dense_counts_both_run(self, rng, monkeypatch, row_blocks):
+        # blocks of 256 rows: rows [0, 300) are a plateau with one dip, fewer
+        # critical pixels than thresholds; the random rows hold more
+        # critical pixels than thresholds
+        row_blocks(256)
         vals = np.full((512, 256), 4.5)
         vals[100, 100] = 3.0
         vals[300:] = rng.integers(0, 1000, (212, 256))
@@ -212,10 +226,11 @@ class TestStepAssembly:
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
                 assert sorted(set(kinds)) == ["f", "i"], (strategy, workers)
 
-    def test_dense_count_and_sorted_steps_agree(self, rng):
+    def test_dense_count_and_sorted_steps_agree(self, rng, row_blocks):
         # blocks of 218 rows hold fewer pixels than either set has thresholds,
         # so every critical pixel is one pair: at least a quarter of every
         # distinct value (dense count), under a quarter of nine times as many
+        row_blocks(218)
         g = ScalarGrid(rng.random((512, 300)).astype(np.float32).astype(np.float64))
         critical = np.count_nonzero(compute_coefficients(g).coeffs)
         distinct = np.unique(g.values)
@@ -242,8 +257,9 @@ class TestStepAssembly:
         assert got.tobytes() == dense_reference(g, taus).tobytes()
         assert peak < 0.2 * 2**20, peak
 
-    def test_thresholds_below_the_grid_and_single_thresholds(self, rng):
-        # 300 rows of 256 columns make two blocks
+    def test_thresholds_below_the_grid_and_single_thresholds(self, rng, row_blocks):
+        # 300 rows in blocks of 256 make two blocks
+        row_blocks(256)
         g = ScalarGrid(rng.random((300, 256)).astype(np.float32).astype(np.float64))
         lo, hi = g.values.min(), g.values.max()
         middle = ThresholdSet([np.median(g.values)])
@@ -261,9 +277,10 @@ class TestStepAssembly:
 
 
 class TestFanOut:
-    def test_pool_only_for_more_than_one_block(self, rng, pool_sizes):
-        # 256 columns make 256-row blocks; every exact block runs on the
-        # calling thread, at any worker count
+    def test_pool_only_for_more_than_one_block(self, rng, pool_sizes, row_blocks):
+        # blocks of 256 rows; every exact block runs on the calling thread,
+        # at any worker count
+        row_blocks(256)
         cases = ((256, FullSweep(), []), (512, FullSweep(), []), (512, Chunked(64), []))
         for rows, strategy, want in cases:
             g = ScalarGrid(rng.integers(0, 10, (rows, 256)).astype(np.float64))
