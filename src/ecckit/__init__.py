@@ -18,7 +18,6 @@ from .bench import (
     write_report_json,
 )
 from .coefficients import (
-    COEFF_RANGE,
     CoefficientGrid,
     compute_coefficients,
     read_coefficients,
@@ -42,7 +41,7 @@ from .hard import (
     compute_ecc,
     parse_strategy,
 )
-from .oracle import CellCounts, count_cells, oracle_ecc, sublevel_mask
+from .oracle import CellCounts, count_cells, oracle_ecc
 from .soft import (
     SoftEccParams,
     SoftGradients,
@@ -62,7 +61,6 @@ __all__ = [
     "CellCounts",
     "ChecksumMismatch",
     "Chunked",
-    "COEFF_RANGE",
     "CoefficientGrid",
     "CorruptionError",
     "EulerCurve",
@@ -89,7 +87,6 @@ __all__ = [
     "run_benchmark",
     "soft_ecc",
     "soft_ecc_backward",
-    "sublevel_mask",
     "uniform_thresholds",
     "write_coefficients",
     "write_curve",

@@ -42,9 +42,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache, partial
 from itertools import product
-from operator import iadd
 
 import numpy as np
 
@@ -233,12 +232,13 @@ def _row_block(dims: tuple[int, ...], budget: float = _BLOCK_BYTES) -> int:
 
 
 def _fan_out(fn, n: int, step: int, workers: int):
-    """Sum of ``fn(start, stop)`` over the blocks of ``step`` items covering range(n).
+    """``fn(start, stop)`` over the blocks of ``step`` items covering range(n), in block order.
 
-    Each block is one task, its result added in place into the first in
-    block order, whichever thread computed it: the sum is bit-identical at
-    every worker count.  Empty input is one empty block ``fn(0, 0)``; one
-    worker or one block runs on the calling thread, starting no pool.
+    A generator: each block is one task, and the caller folds results as
+    they come.  One worker or one block runs each block on the calling
+    thread when its result is asked for; more run blocks in a pool kept
+    open while the caller folds, yielding in block order, so about
+    ``workers`` results are held at once.  Empty input is one ``fn(0, 0)``.
     """
     starts = range(0, max(n, 1), step)
     w = min(_positive_int("workers", workers), len(starts))
@@ -247,9 +247,10 @@ def _fan_out(fn, n: int, step: int, workers: int):
         return fn(start, min(n, start + step))
 
     if w == 1:
-        return reduce(iadd, map(block, starts))
+        yield from map(block, starts)
+        return
     with ThreadPoolExecutor(max_workers=w) as pool:
-        return reduce(iadd, pool.map(block, starts))
+        yield from pool.map(block, starts)
 
 
 def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:
@@ -258,11 +259,8 @@ def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:
     Processed in first-axis blocks sized to a byte budget; each block reads
     a one-row halo and the result is identical to a whole-grid evaluation.
     """
-
-    def rows(r0, r1):  # a one-element list: the blocks' sum lists them in order
-        return [_coefficient_rows(grid.values, r0, r1)]
-
-    return CoefficientGrid(np.concatenate(_fan_out(rows, grid.dims[0], _row_block(grid.dims), 1)))
+    blocks = _fan_out(partial(_coefficient_rows, grid.values), grid.dims[0], _row_block(grid.dims), 1)
+    return CoefficientGrid(np.concatenate([*blocks]))
 
 
 def write_coefficients(cg: CoefficientGrid, path) -> None:

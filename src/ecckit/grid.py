@@ -223,7 +223,7 @@ class EulerCurve:
     """Threshold/value pairs of an Euler characteristic curve.
 
     ``values`` is int64 when produced by the exact path and float64 when
-    produced by the smoothed path.
+    produced by the smoothed path; it is non-empty, and finite if float.
     """
 
     def __init__(self, taus, values):
@@ -236,6 +236,8 @@ class EulerCurve:
                 f"taus and values must be equal-length 1D arrays, "
                 f"got {taus.shape} and {values.shape}"
             )
+        if not values.size or values.dtype.kind == "f" and not np.isfinite(values).all():
+            raise ValueError("a curve needs at least one threshold and finite values")
         self.taus = taus
         self.values = values
 
@@ -333,17 +335,15 @@ def write_curve(curve: EulerCurve, path) -> None:
 
 
 def read_curve(path) -> EulerCurve:
-    """Read a curve CSV written by :func:`write_curve`."""
+    """Read a curve CSV written by :func:`write_curve`; a malformed body is a :class:`FormatError`."""
     path = Path(path)
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0].strip() != "threshold,chi":
         raise FormatError(f"{path}: missing 'threshold,chi' header")
-    taus, raw = [], []
-    for line in lines[1:]:
-        t, v = line.split(",")
-        taus.append(float(t))
-        raw.append(v)
-    integral = all("." not in v and "e" not in v and "E" not in v for v in raw)
-    values = np.array([int(v) for v in raw], dtype=np.int64) if integral else \
-        np.array([float(v) for v in raw], dtype=np.float64)
-    return EulerCurve(np.array(taus), values)
+    try:
+        taus, raw = zip(*(line.split(",") for line in lines[1:]), strict=True)
+        kind = float if any(c in v for v in raw for c in ".eE") else int  # as write_curve marks it
+        values = np.array([kind(v) for v in raw], dtype=np.float64 if kind is float else np.int64)
+        return EulerCurve([float(t) for t in taus], values)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None

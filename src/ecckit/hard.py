@@ -6,16 +6,18 @@ critical pixels, those with a nonzero coefficient, change a bin, and the
 curve, the prefix sum of the bins, changes only where they fall.
 
 Both strategies walk the flat pixel range in blocks, on the calling
-thread, through one span primitive, :func:`_span_counts`: the
-coefficients of the rows a block touches, computed on a view boxed to the
-block and a one-pixel halo, reading its halo rows, are compacted to the
-block's critical pixels and binned into sparse ``(bins, weights)`` pairs.
-:func:`compute_ecc` merges all pairs once: fewer than a quarter of the
-thresholds are summed per distinct bin and each int64 partial sum repeated
-up to the next bin, more are counted densely; the overflow bin drops.
-Every weight and sum is an integer far below 2**53, hence exact, so
-results are bit-identical across strategies and worker counts.  The
-strategies differ only in block size:
+thread, through one span primitive, :func:`_span_bins`: the coefficients
+of the rows a block touches, computed on a view boxed to the block and a
+one-pixel halo, reading its halo rows, are compacted to the block's
+critical pixels and binned into ``(bins, coefficients)`` pairs.
+:func:`compute_ecc` folds the blocks as they come: a block with at least
+as many pairs as thresholds is counted into its nonzero bins, and the held
+pairs are concatenated once more than 64 are held.  It then merges them
+once: fewer than a quarter of the thresholds are summed per distinct bin
+and each int64 partial sum repeated up to the next bin, more are counted
+densely; the overflow bin drops.  Every weight and sum is an integer far
+below 2**53, hence exact, so results are bit-identical across strategies
+and worker counts.  The strategies differ only in block size:
 
 * ``FullSweep``: runs of first-axis rows, as many as fit a block's byte
   budget (:func:`_row_block`): 5 rows at 128**3, 160 at 512**2.
@@ -66,20 +68,6 @@ def parse_strategy(text: str) -> Strategy:
     raise ValueError(f"unknown strategy {text!r}; expected 'fullsweep' or 'chunked:<k>'")
 
 
-class _Pairs(list):
-    """``(bins, weights)`` pairs that ``+=`` concatenates, merged once more than
-    64 are held: a few bytes per critical pixel, not two arrays per block."""
-
-    def __iadd__(self, other):
-        super().__iadd__(other)
-        if len(self) > 64:
-            self[:] = [self.merged()]
-        return self
-
-    def merged(self) -> tuple:
-        return tuple(np.concatenate(a) for a in zip(*self))
-
-
 def _block_pixels(grid: ScalarGrid, strategy: Strategy) -> int:
     """Pixels in each block ``strategy`` walks over ``grid``, the last one aside."""
     if isinstance(strategy, FullSweep):
@@ -89,17 +77,15 @@ def _block_pixels(grid: ScalarGrid, strategy: Strategy) -> int:
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
-def _span_counts(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> _Pairs:
-    """:class:`_Pairs` of one pair, the coefficient totals by bin of pixels [start, stop).
+def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> tuple:
+    """Bins and int8 coefficients of the critical pixels among pixels [start, stop).
 
     Coefficients are computed for the first-axis rows the range touches,
     on a view boxed on each trailing axis to the range plus a one-pixel
     halo when the range keeps every earlier coordinate fixed, and to the
     full extent otherwise.  The range is then one contiguous slice of the
     raveled result, and a row-aligned range computes exactly its own rows.
-    The range is compacted to its critical pixels: fewer of them than
-    thresholds give their own bins and coefficients, more a weighted count
-    (integer partial sums, exact) of their nonzero bins.
+    The range is compacted to its critical pixels, in flat order.
     """
     values = grid.values
     first = np.unravel_index(start, grid.dims)
@@ -113,12 +99,7 @@ def _span_counts(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) ->
     offset = np.ravel_multi_index([0, *local], coeffs.shape)
     span = coeffs.ravel()[offset : offset + stop - start]
     _, critical, weights = _critical_pixels(values.ravel()[start:stop], span)
-    bins = taus.bin_indices(critical)
-    if bins.size < len(taus):
-        return _Pairs([(bins, weights)])
-    counts = np.bincount(bins, weights=weights)
-    nonzero = np.flatnonzero(counts != 0)
-    return _Pairs([(nonzero, counts[nonzero])])
+    return taus.bin_indices(critical), weights
 
 
 def compute_ecc(
@@ -129,18 +110,31 @@ def compute_ecc(
 ) -> EulerCurve:
     """Exact Euler characteristic curve at every threshold.
 
-    The result is bit-identical across strategies and worker counts.
-    ``workers`` is accepted and checked, but every block runs on the calling
-    thread: a block is about 150 numpy calls (40 in 2D) on arrays of up to
-    82,000 pixels, each holding the GIL, so a second worker only waits for
-    it.  On 2 vCPUs, two workers over the same blocks ran at 0.93x the
-    one-worker speed at 128**3 with 256 thresholds and 0.87-0.94x at
-    1024**2, at a CPU/wall ratio of 1.0, and 0.51-0.60x on 512**2 blobs
-    with a threshold at every value.
+    Blocks come from :func:`_fan_out` one at a time, and each is folded
+    into the held pairs before the next one is computed; the merged pairs
+    then take one dense or sparse prefix sum.  The result is bit-identical
+    across strategies and worker counts.  ``workers`` is accepted and
+    checked, but every block runs on the calling thread: a block is about
+    150 numpy calls (40 in 2D) on arrays of up to 82,000 pixels, each
+    holding the GIL, so a second worker only waits for it.  On 2 vCPUs,
+    two workers over the same blocks ran at 0.93x the one-worker speed at
+    128**3 with 256 thresholds and 0.87-0.94x at 1024**2, at a CPU/wall
+    ratio of 1.0, and 0.51-0.60x on 512**2 blobs with a threshold at
+    every value.
     """
     _positive_int("workers", workers)
-    pairs = _fan_out(partial(_span_counts, grid, taus), grid.size, _block_pixels(grid, strategy), 1)
-    bins, weights = pairs.merged()
+    held = []
+    blocks = _fan_out(partial(_span_bins, grid, taus), grid.size, _block_pixels(grid, strategy), 1)
+    for bins, weights in blocks:
+        if bins.size >= len(taus):  # a weighted count (integer partial sums, exact)
+            counts = np.bincount(bins, weights=weights)
+            bins = np.flatnonzero(counts != 0)
+            weights = counts[bins]
+            del counts  # not held while the next block is computed
+        held.append((bins, weights))
+        if len(held) > 64:  # a few bytes per critical pixel, not two arrays per block
+            held = [tuple(map(np.concatenate, zip(*held)))]
+    bins, weights = map(np.concatenate, zip(*held))
     if 4 * bins.size >= len(taus):  # a dense count: faster than sorting the bins, no larger
         chi = np.bincount(bins, weights, len(taus) + 1)[:-1].astype(np.int64)
         return EulerCurve(taus.taus, np.cumsum(chi, out=chi))

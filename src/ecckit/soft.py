@@ -29,17 +29,19 @@ curve is ``(sum_p c t + sum_p c) / 2``, and sigmoid' = lam (1 - t^2) / 4.
 :func:`gradient_check` compacts once too and probes by bumping one offset
 or threshold in a copy, or by shifting the offsets for a bumped direction.
 Critical pixels are taken in blocks that bound the sigmoid block to
-``_BLOCK_ENTRIES`` entries, and the blocks are summed by the block loop
-the exact path uses too: ``workers`` threads compute blocks, whose float64
-results are added in block order, so every output is bit-identical at
-every worker count; input of one block runs on the calling thread.  A
-backward block returns its ``d_tau`` and ``d_u`` partials as one array,
-so that loop sums both.
+``_BLOCK_ENTRIES`` entries, run by the block loop the exact path uses too:
+``workers`` threads compute blocks, and each pass adds their float64
+results in place into the first in block order, so every output is
+bit-identical at every worker count; input of one block runs on the
+calling thread.  A backward block returns its ``d_tau`` and ``d_u``
+partials as one array, so one sum folds both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -163,7 +165,7 @@ def _forward_raw(x, c, lam, tau_arr, workers=1):
     def block(b0, b1):
         return _tanh_block(tau_arr, lam, x[b0:b1]) @ c[b0:b1]
 
-    t_sum = _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // tau_arr.size), workers)
+    t_sum = reduce(iadd, _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // tau_arr.size), workers))
     return 0.5 * (t_sum + c.sum())
 
 
@@ -224,7 +226,7 @@ def soft_ecc_backward(
         du = np.zeros(u.size) if pos is None else (w * c_blk) @ pos[b0:b1]
         return np.concatenate([sp @ c_blk, du])
 
-    sums = _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // ntau), workers)
+    sums = reduce(iadd, _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // ntau), workers))
     d_tau = upstream * sums[:ntau]
     d_u = -alpha * sums[ntau:]
     d_u = d_u - (d_u @ u) * u

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import ecckit.bench
 import ecckit.coefficients
-from ecckit import ScalarGrid
+from ecckit import Chunked, EulerCurve, ScalarGrid
 
 
 def random_int_grid(rng, ndim, max_extent, lo=0, hi=9):
@@ -36,3 +37,17 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(ecckit.coefficients, "ThreadPoolExecutor", counting_pool)
     return sizes
+
+
+@pytest.fixture
+def diverging_chunked(monkeypatch):
+    """Makes the benchmark's ``Chunked`` curves one above the true ones."""
+    real_compute = ecckit.bench.compute_ecc
+
+    def corrupted(grid, taus, strategy):
+        curve = real_compute(grid, taus, strategy)
+        if isinstance(strategy, Chunked):
+            return EulerCurve(curve.taus, curve.values + 1)
+        return curve
+
+    monkeypatch.setattr(ecckit.bench, "compute_ecc", corrupted)

@@ -54,16 +54,7 @@ class TestRunBenchmark:
         report = run_benchmark([(4, 4)], 4, [FullSweep()], repeats=3)
         assert report.rows[0].wall_ms == pytest.approx(4.0 * 1e3)
 
-    def test_gate_aborts_on_divergence(self, monkeypatch):
-        real_compute = bench_mod.compute_ecc
-
-        def corrupted(grid, taus, strategy):
-            curve = real_compute(grid, taus, strategy)
-            if isinstance(strategy, Chunked):
-                return EulerCurve(curve.taus, curve.values + 1)
-            return curve
-
-        monkeypatch.setattr(bench_mod, "compute_ecc", corrupted)
+    def test_gate_aborts_on_divergence(self, diverging_chunked):
         with pytest.raises(ChecksumMismatch):
             run_benchmark([(6, 6)], 4, [FullSweep(), Chunked(9)], repeats=1)
 

@@ -161,6 +161,14 @@ class TestSoft:
                        "--workers", w, "--output", out) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_bad_direction_is_a_usage_error(self, grid_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("soft", "--input", grid_file, "--bins", "6", "--lambda", "10",
+                "--direction", "1,x", "--output", tmp_path / "soft.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "bad direction '1,x'" in err
+
     def test_direction_of_wrong_length_rejected(self, grid_file, tmp_path, capsys):
         code = run("soft", "--input", grid_file, "--bins", "6", "--lambda", "10",
                    "--direction", "1,0,0", "--output", tmp_path / "soft.csv")
@@ -207,6 +215,12 @@ class TestBench:
         assert len(payload["rows"]) == 4
         assert all("workers" not in row for row in payload["rows"])
         assert csv_path.read_text().startswith("dims,bins,strategy,repeats,")
+
+    def test_diverging_curves_exit_3(self, diverging_chunked, capsys):
+        code = run("bench", "--sizes", "6x6", "--bins", "4",
+                   "--strategies", "fullsweep,chunked:9", "--repeats", "1")
+        assert code == 3
+        assert "error: curves diverged" in capsys.readouterr().err
 
     def test_workers_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

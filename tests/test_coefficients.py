@@ -9,7 +9,7 @@ import pytest
 
 import ecckit.coefficients
 from ecckit import (
-    COEFF_RANGE,
+    CoefficientGrid,
     CorruptionError,
     ScalarGrid,
     ThresholdSet,
@@ -20,6 +20,7 @@ from ecckit import (
     write_coefficients,
 )
 from ecckit.coefficients import (
+    COEFF_RANGE,
     _BLOCK_BYTES,
     _PIXEL_BYTES,
     _cells,
@@ -28,7 +29,7 @@ from ecckit.coefficients import (
     _faces,
     _row_block,
 )
-from ecckit.hard import _span_counts
+from ecckit.hard import _span_bins
 
 from conftest import random_f32_grid, random_int_grid
 
@@ -352,10 +353,10 @@ class TestMemory:
             row = g.size // g.dims[0]
             start, stop = 2 * row, (2 + _row_block(g.dims)) * row
             taus = uniform_thresholds(g, 256)
-            _span_counts(g, taus, start, stop)  # the bucket table, built once per set
+            _span_bins(g, taus, start, stop)  # the bucket table, built once per set
             tracemalloc.start()
             try:
-                _span_counts(g, taus, start, stop)
+                _span_bins(g, taus, start, stop)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -383,6 +384,11 @@ class TestMemory:
 
 
 class TestCoefficientFiles:
+    def test_grid_must_be_2d_or_3d(self):
+        for shape in ((5,), (2, 2, 2, 2)):
+            with pytest.raises(ValueError, match="must be 2D or 3D"):
+                CoefficientGrid(np.zeros(shape, dtype=np.int8))
+
     def test_round_trip(self, tmp_path, rng):
         g = random_f32_grid(rng, 3, 5)
         cg = compute_coefficients(g)

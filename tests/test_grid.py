@@ -87,6 +87,11 @@ class TestScalarGrid:
             tracemalloc.stop()
         assert peak <= 1.05 * g.values.nbytes, f"peak {peak / g.values.nbytes:.3f}x the grid"
 
+    def test_rejects_a_zero_extent(self):
+        for shape in ((0, 3), (3, 0), (2, 0, 2)):
+            with pytest.raises(ValueError, match="extents must be positive"):
+                ScalarGrid(np.zeros(shape))
+
     def test_single_pixel_is_2d(self):
         g = ScalarGrid([[5.0]])
         assert g.dims == (1, 1)
@@ -577,9 +582,53 @@ class TestGridFiles:
         with pytest.raises(ValueError):
             read_grid(path)
 
+    def test_shorter_than_the_header(self, tmp_path):
+        path = tmp_path / "g.eccg"
+        path.write_bytes(MAGIC + b"\x01\x02")
+        with pytest.raises(FormatError, match="shorter than the fixed header"):
+            read_grid(path)
+
+    def test_truncated_dims_block(self, tmp_path):
+        path = tmp_path / "g.eccg"
+        write_grid(ScalarGrid(np.zeros((2, 2, 2))), path)
+        path.write_bytes(path.read_bytes()[: 8 + 2 * 8])  # two of three extents
+        with pytest.raises(FormatError, match="truncated dims block"):
+            read_grid(path)
+
+    def test_zero_extent_in_dims(self, tmp_path):
+        path = tmp_path / "g.eccg"
+        write_grid(ScalarGrid(np.zeros((2, 2))), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:16] = bytes(8)  # zero rows
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="zero extent"):
+            read_grid(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_grid(tmp_path / "nope.eccg")
+
+
+class TestEulerCurve:
+    def test_rejects_non_numeric_values(self):
+        with pytest.raises(ValueError, match="must be numeric"):
+            EulerCurve([0.0, 1.0], np.array(["a", "b"]))
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            EulerCurve([0.0, 1.0], np.array([0, 1, 2]))
+
+    def test_rejects_an_empty_curve(self):
+        # an empty float curve would read back as an int curve
+        for values in (np.array([], dtype=np.float64), np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="at least one threshold"):
+                EulerCurve([], values)
+
+    def test_rejects_non_finite_float_values(self):
+        # write_curve would write a file read_curve cannot read
+        for bad in ([np.nan, np.inf], [0.0, -np.inf], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                EulerCurve([0.0, 1.0], np.array(bad))
 
 
 class TestCurveFiles:
@@ -622,4 +671,12 @@ class TestCurveFiles:
         path = tmp_path / "c.csv"
         path.write_text("tau,chi\n0.5,0\n")
         with pytest.raises(FormatError):
+            read_curve(path)
+
+    @pytest.mark.parametrize("body", ["", "0.5,nan\n", "0.5,1.0\n1.0,inf\n", "0.5,1,2\n", "0.5,1\n0.6\n"])
+    def test_malformed_body_is_a_format_error_naming_the_file(self, tmp_path, body):
+        # header only, a non-finite value, or a row without exactly two fields
+        path = tmp_path / "c.csv"
+        path.write_text("threshold,chi\n" + body)
+        with pytest.raises(FormatError, match="c.csv"):
             read_curve(path)

@@ -24,7 +24,7 @@ from ecckit import (
     uniform_thresholds,
 )
 from ecckit.coefficients import _fan_out
-from ecckit.hard import _span_counts
+from ecckit.hard import _span_bins
 from ecckit.soft import SoftEccParams, soft_ecc, soft_ecc_backward
 
 from conftest import random_f32_grid, random_int_grid
@@ -160,17 +160,17 @@ class TestCompaction:
         want = oracle_ecc(g, taus).values
 
         blocks, compacted = [], []
-        span_counts, critical = ecckit.hard._span_counts, ecckit.hard._critical_pixels
+        span_bins, critical = ecckit.hard._span_bins, ecckit.hard._critical_pixels
 
-        def counting_span_counts(*args):
+        def counting_span_bins(*args):
             blocks.append(1)
-            return span_counts(*args)
+            return span_bins(*args)
 
         def counting_critical(*args):
             compacted.append(1)
             return critical(*args)
 
-        monkeypatch.setattr(ecckit.hard, "_span_counts", counting_span_counts)
+        monkeypatch.setattr(ecckit.hard, "_span_bins", counting_span_bins)
         monkeypatch.setattr(ecckit.hard, "_critical_pixels", counting_critical)
         for strategy in (FullSweep(), Chunked(4096)):
             for workers in (1, 2, 8):
@@ -209,22 +209,36 @@ class TestStepAssembly:
         taus = ThresholdSet(np.unique(vals))
         want = dense_reference(g, taus)
 
-        kinds = []
-        span_counts = ecckit.hard._span_counts
+        # a block is counted densely, before the next block is computed, when
+        # it holds at least as many pairs as thresholds: the only flatnonzero
+        # compute_ecc calls
+        events = []
+        span_bins = ecckit.hard._span_bins
 
         def spy(*args):
-            pairs = span_counts(*args)
-            # sparse pairs carry the int8 coefficients, dense ones float64 counts
-            kinds.append(pairs[0][1].dtype.kind)
-            return pairs
+            pair = span_bins(*args)
+            events.append("dense" if pair[0].size >= len(taus) else "sparse")
+            return pair
 
-        monkeypatch.setattr(ecckit.hard, "_span_counts", spy)
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def flatnonzero(self, a):
+                events.append("count")
+                return np.flatnonzero(a)
+
+        monkeypatch.setattr(ecckit.hard, "_span_bins", spy)
+        monkeypatch.setattr(ecckit.hard, "np", CountingNumpy())
         for strategy in (FullSweep(), Chunked(4096)):
             for workers in (1, 2, 8):
-                kinds.clear()
+                events.clear()
                 got = compute_ecc(g, taus, strategy, workers).values
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
-                assert sorted(set(kinds)) == ["f", "i"], (strategy, workers)
+                assert {"dense", "sparse"} <= set(events), (strategy, workers)
+                blocks = [e for e in events if e != "count"]
+                want_events = [x for e in blocks for x in ([e, "count"] if e == "dense" else [e])]
+                assert events == want_events, (strategy, workers)
 
     def test_dense_count_and_sorted_steps_agree(self, rng, row_blocks):
         # blocks of 218 rows hold fewer pixels than either set has thresholds,
@@ -289,6 +303,8 @@ class TestFanOut:
             assert pool_sizes == want, (rows, strategy)
 
     def test_one_task_per_block_summed_in_block_order(self, monkeypatch):
+        # the results come back in block order at every worker count, for
+        # the caller to fold
         tasks = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -296,14 +312,27 @@ class TestFanOut:
                 tasks.extend(starts)
                 return super().map(fn, starts)
 
-        def block(start, stop):  # later blocks finish first; the sum lists the blocks
+        def block(start, stop):  # later blocks finish first
             time.sleep((30 - start) * 1e-3)
-            return [(start, stop)]
+            return start, stop
 
         monkeypatch.setattr(ecckit.coefficients, "ThreadPoolExecutor", RecordingPool)
         spans = [(start, min(30, start + 4)) for start in range(0, 30, 4)]
-        assert _fan_out(block, 30, 4, 1) == spans and tasks == []
-        assert _fan_out(block, 30, 4, 3) == spans and tasks == [start for start, _ in spans]
+        assert list(_fan_out(block, 30, 4, 1)) == spans and tasks == []
+        assert list(_fan_out(block, 30, 4, 3)) == spans and tasks == [start for start, _ in spans]
+
+    def test_one_worker_runs_each_block_when_asked(self):
+        ran = []
+
+        def block(start, stop):
+            ran.append(start)
+            return start
+
+        blocks = _fan_out(block, 30, 4, 1)
+        assert ran == []
+        assert next(blocks) == 0 and ran == [0]
+        assert next(blocks) == 4 and ran == [0, 4]
+        assert list(blocks) == list(range(8, 30, 4)) and ran == list(range(0, 30, 4))
 
 
 def dense_counts(pairs, taus):
@@ -338,7 +367,7 @@ class TestSpanCounts:
                     continue
                 bins = taus.bin_indices(values[start:stop])
                 want = dense_counts([(bins, coeffs[start:stop])], taus)
-                got = dense_counts(_span_counts(g, taus, start, stop), taus)
+                got = dense_counts([_span_bins(g, taus, start, stop)], taus)
                 assert got.tobytes() == want.tobytes(), (g.dims, start, stop)
 
 
@@ -347,6 +376,11 @@ class TestValidation:
         g = random_int_grid(rng, 2, 4)
         with pytest.raises(ValueError):
             compute_ecc(g, uniform_thresholds(g, 2), FullSweep(), 0)
+
+    def test_unknown_strategy_is_a_type_error(self, rng):
+        g = random_int_grid(rng, 2, 4)
+        with pytest.raises(TypeError, match="unknown strategy 'fullsweep'"):
+            compute_ecc(g, uniform_thresholds(g, 2), "fullsweep")
 
     def test_bad_chunk_len(self):
         with pytest.raises(ValueError):

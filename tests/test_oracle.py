@@ -9,9 +9,9 @@ from ecckit import (
     ThresholdSet,
     count_cells,
     oracle_ecc,
-    sublevel_mask,
     uniform_thresholds,
 )
+from ecckit.oracle import sublevel_mask
 
 
 class TestSublevelMask:

@@ -147,6 +147,11 @@ class TestParams:
             SoftEccParams(lam=1.0, alpha=alpha, u=np.array([1.0, 0.0]),
                           taus=ThresholdSet([0.0]))
 
+    def test_direction_has_2_or_3_components(self):
+        with pytest.raises(ValueError, match="2 or 3 components, got 4"):
+            SoftEccParams(lam=1.0, alpha=0.0, u=np.array([0.5, 0.5, 0.5, 0.5]),
+                          taus=ThresholdSet([0.0]))
+
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
             SoftEccParams(lam=1.0, alpha=0.0, u=np.array([1.0, 1.0]),
@@ -533,6 +538,26 @@ class TestThresholdScaling:
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_pool_folds_block_results_as_they_come(self, rng):
+        # ~5,500 critical pixels in blocks of 50 give ~110 block results of
+        # 320 KB: held all at once they would add ~34 MiB to the ~33 MiB
+        # that two workers' sigmoid blocks take
+        grid = ScalarGrid(rng.random((96, 96)))
+        coeffs = compute_coefficients(grid)
+        taus = ThresholdSet(np.linspace(0.0, 1.0, 40_000))
+        params = SoftEccParams(lam=10.0, alpha=0.2, u=unit(1, 2), taus=taus)
+        for run in (
+            lambda: soft_ecc(grid, coeffs, params, workers=2),
+            lambda: soft_ecc_backward(grid, coeffs, params, np.ones(len(taus)), workers=2),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestFanOut:
