@@ -172,9 +172,8 @@ class ThresholdSet:
     def bin_indices(self, values) -> np.ndarray:
         """For each value, the smallest index j with value <= taus[j].
 
-        Returns len(self) for values above the last threshold, as int32 from
-        the table (below 2**31 thresholds) and as intp from a direct search.
-        A NaN value raises ``ValueError``.
+        Returns len(self) for values above the last threshold, as intp from
+        the table and from a direct search.  A NaN value raises ``ValueError``.
         """
         v = np.asarray(values)
         if v.dtype != np.float32:  # float32 meets the float64 thresholds exactly as it is
@@ -184,11 +183,12 @@ class ThresholdSet:
         if 64 * v.size < len(self):  # too few values to pay for a table
             return np.searchsorted(self.taus, v, side="left")
         t0, s, top, start, rounds, padded = self._tables.get(v.dtype) or self._table(v.dtype)
-        idx = start.take(_buckets(v, t0, s, top))
+        idx = _buckets(v, t0, s, top)
+        idx[...] = start.take(idx)  # intp, so later gathers and counts convert nothing
         for k in reversed(range(rounds)):  # the answer lies in [idx, idx + 2**(k + 1) - 1]
             hit = padded[(1 << k) - 1:].take(idx) < v
             idx += hit << k if k else hit
-        return idx
+        return idx[()]  # a numpy scalar for a scalar value, as the direct search gives
 
 
 def _positive_int(name: str, value) -> int:

@@ -10,14 +10,15 @@ thread, through one span primitive, :func:`_span_bins`: the coefficients
 of the rows a block touches, computed on a view boxed to the block and a
 one-pixel halo, reading its halo rows, are compacted to the block's
 critical pixels and binned into ``(bins, coefficients)`` pairs.
-:func:`compute_ecc` folds the blocks as they come: a block with at least
-as many pairs as thresholds is counted into its nonzero bins, and the held
-pairs are concatenated once more than 64 are held.  It then merges them
-once: fewer than a quarter of the thresholds are summed per distinct bin
-and each int64 partial sum repeated up to the next bin, more are counted
-densely; the overflow bin drops.  Every weight and sum is an integer far
-below 2**53, hence exact, so results are bit-identical across strategies
-and worker counts.  The strategies differ only in block size:
+:func:`compute_ecc` folds blocks as they come, by one rule for T thresholds:
+held pairs (concatenated once more than 64 are held) that number T or
+more are added to one float64 histogram of T + 1 bins and dropped before
+the next block is computed.  At the end, fewer than T/4 pairs with no
+histogram are summed per distinct bin, each int64 partial sum repeated up
+to the next bin; otherwise the rest join the histogram and it is prefix
+summed.  The overflow bin drops; memory is O(T + block).  Weights and sums
+are integers far below 2**53, hence exact and bit-identical across
+strategies and worker counts.  The strategies differ only in block size:
 
 * ``FullSweep``: runs of first-axis rows, as many as fit a block's byte
   budget (:func:`_row_block`): 5 rows at 128**3, 160 at 512**2.
@@ -110,38 +111,37 @@ def compute_ecc(
 ) -> EulerCurve:
     """Exact Euler characteristic curve at every threshold.
 
-    Blocks come from :func:`_fan_out` one at a time, and each is folded
-    into the held pairs before the next one is computed; the merged pairs
-    then take one dense or sparse prefix sum.  The result is bit-identical
-    across strategies and worker counts.  ``workers`` is accepted and
-    checked, but every block runs on the calling thread: a block is about
-    150 numpy calls (40 in 2D) on arrays of up to 82,000 pixels, each
-    holding the GIL, so a second worker only waits for it.  On 2 vCPUs,
-    two workers over the same blocks ran at 0.93x the one-worker speed at
-    128**3 with 256 thresholds and 0.87-0.94x at 1024**2, at a CPU/wall
-    ratio of 1.0, and 0.51-0.60x on 512**2 blobs with a threshold at
-    every value.
+    Blocks come from :func:`_fan_out` one at a time, folded by the module's
+    one rule, bit-identically across strategies and worker counts.
+    ``workers`` is checked, but every block runs on the calling thread: a
+    block is about 150 numpy calls (40 in 2D), each holding the GIL, so on
+    2 vCPUs two workers ran at 0.51-0.94x the one-worker speed (CPU/wall 1.0).
     """
     _positive_int("workers", workers)
-    held = []
+    n, held, pairs, hist = len(taus), [], 0, None
     blocks = _fan_out(partial(_span_bins, grid, taus), grid.size, _block_pixels(grid, strategy), 1)
-    for bins, weights in blocks:
-        if bins.size >= len(taus):  # a weighted count (integer partial sums, exact)
-            counts = np.bincount(bins, weights=weights)
-            bins = np.flatnonzero(counts != 0)
-            weights = counts[bins]
-            del counts  # not held while the next block is computed
-        held.append((bins, weights))
-        if len(held) > 64:  # a few bytes per critical pixel, not two arrays per block
+    for pair in blocks:
+        held.append(pair)
+        pairs += pair[0].size
+        del pair  # held or counted, not kept alive while the next block is computed
+        if pairs >= n:
+            hist, held, pairs = _count(hist, held, n), [], 0
+        elif len(held) > 64:  # a few bytes per critical pixel, not two arrays per block
             held = [tuple(map(np.concatenate, zip(*held)))]
-    bins, weights = map(np.concatenate, zip(*held))
-    if 4 * bins.size >= len(taus):  # a dense count: faster than sorting the bins, no larger
-        chi = np.bincount(bins, weights, len(taus) + 1)[:-1].astype(np.int64)
-        return EulerCurve(taus.taus, np.cumsum(chi, out=chi))
-    at, inverse = np.unique(bins, return_inverse=True)
-    steps = np.bincount(inverse, weights=weights).astype(np.int64)
-    # chi[j] sums the steps at bins <= j: 0 before the first, then each
-    # partial sum up to the next bin or the end, so the overflow bin drops
-    gaps = np.diff(at, prepend=0, append=len(taus))
-    chi = np.repeat(np.concatenate(([0], np.cumsum(steps))), gaps)
-    return EulerCurve(taus.taus, chi)
+    if hist is None and 4 * pairs < n:  # a sparse sum
+        bins, weights = map(np.concatenate, zip(*held))
+        at, inverse = np.unique(bins, return_inverse=True)
+        steps = np.bincount(inverse, weights=weights).astype(np.int64)
+        # chi[j] sums the steps at bins <= j: each partial sum repeats up to the next bin
+        gaps = np.diff(at, prepend=0, append=n)
+        return EulerCurve(taus.taus, np.repeat(np.concatenate(([0], np.cumsum(steps))), gaps))
+    chi = _count(hist, held, n)[:-1].astype(np.int64)
+    return EulerCurve(taus.taus, np.cumsum(chi, out=chi))
+
+
+def _count(hist, held: list, n: int) -> np.ndarray:
+    """``hist``, or a new float64 histogram of ``n + 1`` bins, with the held pairs added."""
+    hist = np.zeros(n + 1) if hist is None else hist
+    for bins, weights in held:  # float64 weights take add.at's fast path, with no n + 1 copy
+        np.add.at(hist, bins, weights.astype(np.float64))
+    return hist

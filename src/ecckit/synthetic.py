@@ -1,7 +1,7 @@
 """Seeded synthetic grid generation for tests, demos and benchmarks.
 
-All generators cast their output through float32 before handing it to
-:class:`ScalarGrid`, so generated grids round-trip bit-exactly through the
+All generators cast their output through float32 and the grid holds that
+cast itself, so generated grids round-trip bit-exactly through the
 grid file format and an identical spec always yields a byte-identical
 file.
 """
@@ -88,4 +88,4 @@ def generate_grid(spec: SyntheticSpec) -> ScalarGrid:
         field = _gaussian_blobs(spec.dims, rng, spec.blobs, spec.blob_width)
     else:
         field = _radial_gradient(spec.dims)
-    return ScalarGrid(field.astype(np.float32))
+    return ScalarGrid._adopt(field.astype(np.float32, order="C"))  # fresh: not copied again

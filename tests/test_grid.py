@@ -352,7 +352,7 @@ class TestThresholdSet:
         ts = ThresholdSet(np.linspace(0.0, 1.0, n))
         for value in (dtype(0.5), dtype(-1.0), dtype(2.0), dtype(ts.taus[3]), float(dtype(0.5))):
             got = ts.bin_indices(value)
-            assert np.ndim(got) == 0
+            assert isinstance(got, np.integer)
             assert got == np.searchsorted(ts.taus, value, side="left"), value
 
     # against 1000 thresholds, 8 values search directly and 2**12 take the table
@@ -367,6 +367,17 @@ class TestThresholdSet:
         with pytest.raises(ValueError, match="NaN"):
             ts.bin_indices(dtype(np.nan))
         assert np.array_equal(ts.bin_indices(values[:0]), [])
+
+    # against 1000 thresholds, 8 values search directly and 2**12 take the table
+    @pytest.mark.parametrize("count", [8, 2**12])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bins_are_intp_from_the_table_and_the_direct_search(self, count, dtype):
+        ts = ThresholdSet(np.linspace(0.0, 1.0, 1000))
+        values = np.linspace(-0.5, 1.5, count).astype(dtype)
+        got = ts.bin_indices(values)
+        assert got.dtype == np.intp
+        assert bool(ts._tables) == (count == 2**12)
+        assert np.array_equal(got, np.searchsorted(ts.taus, values, side="left"))
 
     def test_few_values_search_directly_and_many_reuse_the_table(self, rng):
         taus = np.sort(rng.normal(0, 1, 2**20))

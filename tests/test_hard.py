@@ -198,35 +198,43 @@ class TestStepAssembly:
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
 
     def test_sparse_pairs_and_dense_counts_both_run(self, rng, monkeypatch, row_blocks):
-        # blocks of 256 rows: rows [0, 300) are a plateau with one dip, fewer
-        # critical pixels than thresholds; the random rows hold more
-        # critical pixels than thresholds
+        # blocks of 256 rows or 16-row chunks: rows [0, 300) are a plateau
+        # with one dip, fewer critical pixels than thresholds; rows [300, 400)
+        # are random in 40 columns, fewer per chunk but more over three
+        # chunks; rows [400, 512) are random, more per chunk
         row_blocks(256)
         vals = np.full((512, 256), 4.5)
         vals[100, 100] = 3.0
-        vals[300:] = rng.integers(0, 1000, (212, 256))
+        vals[300:400, :40] = rng.integers(0, 1000, (100, 40))
+        vals[400:] = rng.integers(0, 1000, (112, 256))
         g = ScalarGrid(vals)
         taus = ThresholdSet(np.unique(vals))
+        n = len(taus)
         want = dense_reference(g, taus)
 
-        # a block is counted densely, before the next block is computed, when
-        # it holds at least as many pairs as thresholds: the only flatnonzero
-        # compute_ecc calls
+        # each block's pairs, the histograms made and the pairs counted into
+        # one, in call order
         events = []
         span_bins = ecckit.hard._span_bins
 
         def spy(*args):
             pair = span_bins(*args)
-            events.append("dense" if pair[0].size >= len(taus) else "sparse")
+            events.append(("block", pair[0].size))
             return pair
 
         class CountingNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def flatnonzero(self, a):
-                events.append("count")
-                return np.flatnonzero(a)
+            def zeros(self, shape):
+                events.append(("histogram", shape))
+                return np.zeros(shape)
+
+            class add:
+                @staticmethod
+                def at(hist, bins, weights):
+                    events.append(("count", bins.size))
+                    np.add.at(hist, bins, weights)
 
         monkeypatch.setattr(ecckit.hard, "_span_bins", spy)
         monkeypatch.setattr(ecckit.hard, "np", CountingNumpy())
@@ -235,10 +243,29 @@ class TestStepAssembly:
                 events.clear()
                 got = compute_ecc(g, taus, strategy, workers).values
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
-                assert {"dense", "sparse"} <= set(events), (strategy, workers)
-                blocks = [e for e in events if e != "count"]
-                want_events = [x for e in blocks for x in ([e, "count"] if e == "dense" else [e])]
-                assert events == want_events, (strategy, workers)
+                # one histogram of n + 1 bins, made before the first count
+                assert [e for e in events if e[0] == "histogram"] == [("histogram", n + 1)]
+                assert events.index(("histogram", n + 1)) < [e[0] for e in events].index("count")
+                # after each block, the held pairs are counted before the next
+                # block is computed once they number at least n, and only then;
+                # the last block's remainder is counted into the histogram
+                segments = []  # [pairs of a block, pairs counted right after it]
+                for kind, size in events:
+                    if kind == "block":
+                        segments.append([size, 0])
+                    elif kind == "count":
+                        segments[-1][1] += size
+                sizes = [size for size, _ in segments]
+                assert min(sizes) < n <= max(sizes), (strategy, sizes)
+                held = 0
+                for i, (size, counted) in enumerate(segments):
+                    held += size
+                    last = i == len(segments) - 1
+                    assert counted == (held if held >= n or last else 0), (strategy, i)
+                    held -= counted
+                assert any(counted > size for size, counted in segments), strategy  # several blocks
+                counts = sum(1 for _, counted in segments if counted)
+                assert counts <= sum(sizes) // n + 1, (strategy, counts)
 
     def test_dense_count_and_sorted_steps_agree(self, rng, row_blocks):
         # blocks of 218 rows hold fewer pixels than either set has thresholds,
@@ -270,6 +297,24 @@ class TestStepAssembly:
             tracemalloc.stop()
         assert got.tobytes() == dense_reference(g, taus).tobytes()
         assert peak < 0.2 * 2**20, peak
+
+    def test_many_thresholds_fold_into_one_histogram(self):
+        # 1024**2 uniform-random float32: 610,648 critical pixels, about
+        # 47,000 per FullSweep block and 2,400 per chunk, against 100,000
+        # thresholds; holding every pair to the end peaked at 15.9 MiB
+        g = ScalarGrid(np.random.default_rng(3).random((1024, 1024)).astype(np.float32))
+        taus = uniform_thresholds(g, 100_000)
+        want = dense_reference(g, taus)
+        for strategy in (FullSweep(), Chunked(4096)):
+            compute_ecc(g, taus, strategy)  # builds the set's bucket table first
+            tracemalloc.start()
+            try:
+                got = compute_ecc(g, taus, strategy).values
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == want.tobytes(), strategy
+            assert peak <= 4 * 2**20, (strategy, peak / 2**20)
 
     def test_thresholds_below_the_grid_and_single_thresholds(self, rng, row_blocks):
         # 300 rows in blocks of 256 make two blocks

@@ -1,5 +1,7 @@
 """Seeded synthetic grid generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,19 @@ class TestUniformRandom:
     def test_range(self):
         g = generate_grid(SyntheticSpec(kind="uniform-random", dims=(32, 32), seed=0))
         assert g.values.min() >= 0.0 and g.values.max() < 1.0
+
+    def test_the_grid_holds_the_float32_cast_itself(self):
+        # the float64 draw plus the float32 grid is 12 bytes per pixel; a
+        # second copy of the grid would make it 16
+        spec = SyntheticSpec(kind="uniform-random", dims=(64, 64, 64), seed=0)
+        tracemalloc.start()
+        try:
+            g = generate_grid(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.values.dtype == np.float32 and not g.values.flags.writeable
+        assert peak <= 12.5 * spec.size, peak / spec.size
 
 
 class TestGaussianBlobs:
