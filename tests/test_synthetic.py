@@ -1,11 +1,39 @@
 """Seeded synthetic grid generators."""
 
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from ecckit import SyntheticSpec, generate_grid, write_grid
+
+
+def per_pixel_blobs(spec):
+    """Reference blobs: each blob's exp of the summed squared distance, over its peak."""
+    dims = spec.dims
+    width = max(min(dims) / 8.0, 1.0) if spec.blob_width is None else spec.blob_width
+    rng = np.random.default_rng(spec.seed)
+    centers = rng.uniform(0, 1, size=(spec.blobs, len(dims))) * (np.array(dims) - 1)
+    axes = np.ix_(*(np.arange(d, dtype=np.float64) for d in dims))
+    field = np.zeros(dims)
+    for c in centers:
+        field += np.exp(-sum((x - ci) ** 2 for x, ci in zip(axes, c)) / (2 * width**2))
+    if field.max() > 0:
+        field /= field.max()
+    return field.astype(np.float32)
+
+
+BLOB_SPECS = [
+    SyntheticSpec("gaussian-blobs", dims, seed=seed, blobs=blobs, blob_width=width)
+    for seed, (dims, blobs, width) in enumerate(
+        product([(96, 80), (40, 36, 32)], [1, 8, 12], [None, 2.5, 7.0]))
+] + [
+    SyntheticSpec("gaussian-blobs", (1, 30, 20), seed=40),
+    SyntheticSpec("gaussian-blobs", (1, 50), seed=41, blobs=3),
+    SyntheticSpec("gaussian-blobs", (300, 7), seed=42, blobs=12),
+    SyntheticSpec("gaussian-blobs", (64, 64, 64), seed=18, blobs=12, blob_width=2.5),
+]
 
 
 class TestRadialGradient:
@@ -53,19 +81,6 @@ class TestUniformRandom:
         g = generate_grid(SyntheticSpec(kind="uniform-random", dims=(32, 32), seed=0))
         assert g.values.min() >= 0.0 and g.values.max() < 1.0
 
-    def test_the_grid_holds_the_float32_cast_itself(self):
-        # the float64 draw plus the float32 grid is 12 bytes per pixel; a
-        # second copy of the grid would make it 16
-        spec = SyntheticSpec(kind="uniform-random", dims=(64, 64, 64), seed=0)
-        tracemalloc.start()
-        try:
-            g = generate_grid(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert g.values.dtype == np.float32 and not g.values.flags.writeable
-        assert peak <= 12.5 * spec.size, peak / spec.size
-
 
 class TestGaussianBlobs:
     def test_normalized_peak(self):
@@ -78,6 +93,37 @@ class TestGaussianBlobs:
         a = generate_grid(SyntheticSpec(kind="gaussian-blobs", dims=(16, 16), seed=1, blobs=2))
         b = generate_grid(SyntheticSpec(kind="gaussian-blobs", dims=(16, 16), seed=1, blobs=9))
         assert not np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("spec", BLOB_SPECS, ids=lambda s: "x".join(map(str, s.dims))
+                             + f"-blobs{s.blobs}-width{s.blob_width}-seed{s.seed}")
+    def test_equals_the_per_pixel_formula(self, spec):
+        # products of per-axis factors against exp of each pixel's summed squared distance:
+        # one float32 ulp in the normal range, 2**-126 absolute below it
+        got, want = generate_grid(spec).values, per_pixel_blobs(spec)
+        tiny = np.finfo(np.float32).tiny
+        tol = np.where(want < tiny, tiny, np.spacing(want)).astype(np.float64)
+        err = np.abs(got.astype(np.float64) - want)
+        assert np.all(err <= tol), (int(np.count_nonzero(err > tol)), float(err.max()))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("kind, blobs", [
+        ("uniform-random", 8), ("gaussian-blobs", 8), ("radial-gradient", 8),
+        ("gaussian-blobs", 200),  # a (64 * 64, 200) product of two factors would be 25 B/px
+    ], ids=["uniform-random", "gaussian-blobs", "radial-gradient", "gaussian-blobs-200"])
+    def test_the_grid_holds_the_float32_cast_itself(self, kind, blobs):
+        # the float64 field plus the float32 grid is 12 bytes per pixel; a second copy
+        # of the grid or a full-grid temporary per blob would make it 16 or more
+        spec = SyntheticSpec(kind=kind, dims=(64, 64, 64), seed=0, blobs=blobs)
+        generate_grid(SyntheticSpec(kind=kind, dims=(2, 2, 2)))  # first use imports numpy.random
+        tracemalloc.start()
+        try:
+            g = generate_grid(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.values.dtype == np.float32 and not g.values.flags.writeable
+        assert peak <= 12.5 * spec.size, peak / spec.size
 
 
 class TestValidation:
