@@ -138,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0, help="direction scale")
     p.add_argument("--direction", type=_parse_direction, default=None,
                    help="direction components, normalized internally")
-    p.add_argument("--workers", type=int, default=1, help="threads computing sigmoid blocks")
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
@@ -213,7 +212,7 @@ def _cmd_soft(args) -> int:
         taus=_thresholds(grid, args),
     )
     coeffs = compute_coefficients(effective_field(grid, params.alpha, params.u))
-    write_curve(soft_ecc(grid, coeffs, params, args.workers), args.output)
+    write_curve(soft_ecc(grid, coeffs, params), args.output)
     return 0
 
 

@@ -29,7 +29,7 @@ Consequences used by tests and callers:
 * c(p) is determined by the 3x3 (2D) or 3x3x3 (3D) neighborhood of p;
 * attainable ranges are [-3, +1] in 2D and [-5, +7] in 3D.
 
-Coefficients are computed per block of first-axis rows, in :func:`_fan_out`.
+Coefficients are computed per block of first-axis rows, in :func:`_blocks`.
 The kernel reads a block and its one-row halo in place as one flat array,
 so each of the 3**d - 1 neighbor relations is one contiguous bool compare
 of two shifted slices of it.  Neighbors beyond the flat rows never precede
@@ -40,7 +40,6 @@ across which a flat neighbor wraps into another row.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import product
@@ -51,7 +50,6 @@ from .grid import (
     VERSION_COEFF,
     CorruptionError,
     ScalarGrid,
-    _positive_int,
     _read_payload,
     _write_payload,
 )
@@ -209,10 +207,10 @@ def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
     return idx, values.ravel()[idx], coeffs.ravel()[idx]
 
 
-#: Peak bytes per pixel of one exact-path block (tracemalloc): the kernel's
-#: (about 7 in 2D, 20 in 3D) or its compaction and binning's (about 33 per
-#: critical pixel, at most 23.3 on uniform-random float64 grids, where about
-#: 60% of pixels are critical), whichever is larger.
+#: Bytes per pixel of one exact-path block, above both peaks (tracemalloc):
+#: the kernel's (about 7 in 2D, 20 in 3D) and its compaction and binning's
+#: (about 25 per critical pixel, 28 on float64 grids, so about 16 per pixel on
+#: uniform-random grids, where about 60% of pixels are critical).
 _PIXEL_BYTES = 23.4
 
 #: Bytes one block may take: what a 65,536-pixel 3D block took when the
@@ -231,26 +229,15 @@ def _row_block(dims: tuple[int, ...], budget: float = _BLOCK_BYTES) -> int:
     return int(np.clip(budget // row, 1, dims[0]))
 
 
-def _fan_out(fn, n: int, step: int, workers: int):
+def _blocks(fn, n: int, step: int):
     """``fn(start, stop)`` over the blocks of ``step`` items covering range(n), in block order.
 
-    A generator: each block is one task, and the caller folds results as
-    they come.  One worker or one block runs each block on the calling
-    thread when its result is asked for; more run blocks in a pool kept
-    open while the caller folds, yielding in block order, so about
-    ``workers`` results are held at once.  Empty input is one ``fn(0, 0)``.
+    A generator on the calling thread: each block runs when its result is
+    asked for, and the caller folds results as they come.  Empty input is
+    one ``fn(0, 0)``.
     """
-    starts = range(0, max(n, 1), step)
-    w = min(_positive_int("workers", workers), len(starts))
-
-    def block(start):
-        return fn(start, min(n, start + step))
-
-    if w == 1:
-        yield from map(block, starts)
-        return
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        yield from pool.map(block, starts)
+    for start in range(0, max(n, 1), step):
+        yield fn(start, min(n, start + step))
 
 
 def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:
@@ -259,7 +246,7 @@ def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:
     Processed in first-axis blocks sized to a byte budget; each block reads
     a one-row halo and the result is identical to a whole-grid evaluation.
     """
-    blocks = _fan_out(partial(_coefficient_rows, grid.values), grid.dims[0], _row_block(grid.dims), 1)
+    blocks = _blocks(partial(_coefficient_rows, grid.values), grid.dims[0], _row_block(grid.dims))
     return CoefficientGrid(np.concatenate([*blocks]))
 
 

@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import _coefficient_rows, _critical_pixels, _fan_out, _row_block
+from .coefficients import _blocks, _coefficient_rows, _critical_pixels, _row_block
 from .grid import EulerCurve, ScalarGrid, ThresholdSet, _positive_int
 
 
@@ -99,7 +99,7 @@ def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> t
     local = [f - s.start for f, s in zip(first[1:], box)]
     offset = np.ravel_multi_index([0, *local], coeffs.shape)
     span = coeffs.ravel()[offset : offset + stop - start]
-    _, critical, weights = _critical_pixels(values.ravel()[start:stop], span)
+    critical, weights = _critical_pixels(values.ravel()[start:stop], span)[1:]  # no index while binning
     return taus.bin_indices(critical), weights
 
 
@@ -111,7 +111,7 @@ def compute_ecc(
 ) -> EulerCurve:
     """Exact Euler characteristic curve at every threshold.
 
-    Blocks come from :func:`_fan_out` one at a time, folded by the module's
+    Blocks come from :func:`_blocks` one at a time, folded by the module's
     one rule, bit-identically across strategies and worker counts.
     ``workers`` is checked, but every block runs on the calling thread: a
     block is about 150 numpy calls (40 in 2D), each holding the GIL, so on
@@ -119,8 +119,7 @@ def compute_ecc(
     """
     _positive_int("workers", workers)
     n, held, pairs, hist = len(taus), [], 0, None
-    blocks = _fan_out(partial(_span_bins, grid, taus), grid.size, _block_pixels(grid, strategy), 1)
-    for pair in blocks:
+    for pair in _blocks(partial(_span_bins, grid, taus), grid.size, _block_pixels(grid, strategy)):
         held.append(pair)
         pairs += pair[0].size
         del pair  # held or counted, not kept alive while the next block is computed

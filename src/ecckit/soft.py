@@ -29,12 +29,12 @@ curve is ``(sum_p c t + sum_p c) / 2``, and sigmoid' = lam (1 - t^2) / 4.
 :func:`gradient_check` compacts once too and probes by bumping one offset
 or threshold in a copy, or by shifting the offsets for a bumped direction.
 Critical pixels are taken in blocks that bound the sigmoid block to
-``_BLOCK_ENTRIES`` entries, run by the block loop the exact path uses too:
-``workers`` threads compute blocks, and each pass adds their float64
-results in place into the first in block order, so every output is
-bit-identical at every worker count; input of one block runs on the
-calling thread.  A backward block returns its ``d_tau`` and ``d_u``
-partials as one array, so one sum folds both.
+``_BLOCK_ENTRIES`` entries, run on the calling thread by the block loop
+the exact path uses too; each pass adds their float64 results in place
+into the first in block order.  ``workers`` is checked, but starts no
+thread: BLAS threads each block's mat-vec, and two workers were slower
+than one.  A backward block returns its ``d_tau`` and ``d_u`` partials
+as one array, so one sum folds both.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from operator import iadd
 
 import numpy as np
 
-from .coefficients import CoefficientGrid, _critical_pixels, _fan_out, compute_coefficients
-from .grid import EulerCurve, ScalarGrid, ThresholdSet
+from .coefficients import CoefficientGrid, _blocks, _critical_pixels, compute_coefficients
+from .grid import EulerCurve, ScalarGrid, ThresholdSet, _positive_int
 
 UNIT_NORM_TOL = 1e-12
 # entries per sigmoid block (~16 MB); a block holds at least one pixel column
@@ -159,13 +159,13 @@ def _tanh_block(taus, lam, x):
     return np.tanh(t, out=t)
 
 
-def _forward_raw(x, c, lam, tau_arr, workers=1):
+def _forward_raw(x, c, lam, tau_arr):
     """Smoothed curve values of critical pixels with offsets ``x`` and coefficients ``c``."""
 
     def block(b0, b1):
         return _tanh_block(tau_arr, lam, x[b0:b1]) @ c[b0:b1]
 
-    t_sum = reduce(iadd, _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // tau_arr.size), workers))
+    t_sum = reduce(iadd, _blocks(block, c.size, max(1, _BLOCK_ENTRIES // tau_arr.size)))
     return 0.5 * (t_sum + c.sum())
 
 
@@ -181,9 +181,9 @@ def soft_ecc(
     :func:`effective_field`); it is accepted explicitly so that callers can
     hold it fixed.
     """
+    _positive_int("workers", workers)
     _, x, c, _ = _critical_set(grid, coeffs, params.alpha, params.u)
-    chi = _forward_raw(x, c, params.lam, params.taus.taus, workers)
-    return EulerCurve(params.taus.taus, chi)
+    return EulerCurve(params.taus.taus, _forward_raw(x, c, params.lam, params.taus.taus))
 
 
 def soft_ecc_backward(
@@ -205,6 +205,7 @@ def soft_ecc_backward(
 
     Coefficients are treated as constants.
     """
+    _positive_int("workers", workers)
     idx, x, c, pos = _critical_set(grid, coeffs, params.alpha, params.u)
     upstream = np.asarray(upstream, dtype=np.float64).ravel()
     ntau = len(params.taus)
@@ -226,11 +227,10 @@ def soft_ecc_backward(
         du = np.zeros(u.size) if pos is None else (w * c_blk) @ pos[b0:b1]
         return np.concatenate([sp @ c_blk, du])
 
-    sums = reduce(iadd, _fan_out(block, c.size, max(1, _BLOCK_ENTRIES // ntau), workers))
-    d_tau = upstream * sums[:ntau]
+    sums = reduce(iadd, _blocks(block, c.size, max(1, _BLOCK_ENTRIES // ntau)))
     d_u = -alpha * sums[ntau:]
     d_u = d_u - (d_u @ u) * u
-    return SoftGradients(d_values.reshape(grid.dims), d_tau, d_u)
+    return SoftGradients(d_values.reshape(grid.dims), upstream * sums[:ntau], d_u)
 
 
 def gradient_check(

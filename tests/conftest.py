@@ -1,10 +1,14 @@
 """Shared helpers for the test suite."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import ecckit.bench
 import ecckit.coefficients
+import ecckit.hard
+import ecckit.soft
 from ecckit import Chunked, EulerCurve, ScalarGrid
 
 
@@ -26,17 +30,21 @@ def rng():
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Worker counts of the thread pools the library starts during a test."""
-    sizes = []
-    pool = ecckit.coefficients.ThreadPoolExecutor
+def block_threads(monkeypatch):
+    """Thread ident of each block the library's block loop runs during a test, in order."""
+    idents = []
+    blocks = ecckit.coefficients._blocks
 
-    def counting_pool(max_workers):
-        sizes.append(max_workers)
-        return pool(max_workers=max_workers)
+    def recording(fn, n, step):
+        def block(start, stop):
+            idents.append(threading.get_ident())
+            return fn(start, stop)
 
-    monkeypatch.setattr(ecckit.coefficients, "ThreadPoolExecutor", counting_pool)
-    return sizes
+        return blocks(block, n, step)
+
+    for module in (ecckit.coefficients, ecckit.hard, ecckit.soft):
+        monkeypatch.setattr(module, "_blocks", recording)
+    return idents
 
 
 @pytest.fixture

@@ -5,7 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from ecckit import read_coefficients, read_curve, read_grid
+from ecckit import (
+    SoftEccParams,
+    compute_coefficients,
+    effective_field,
+    read_coefficients,
+    read_curve,
+    read_grid,
+    reparametrize_direction,
+    soft_ecc,
+    uniform_thresholds,
+    write_curve,
+)
 from ecckit.cli import main
 
 
@@ -154,12 +165,26 @@ class TestSoft:
                    "--alpha", "0.4", "--direction", "3,4", "--output", out) == 0
         assert len(read_curve(out)) == 6
 
-    def test_workers_compute_blocks(self, grid_file, tmp_path):
-        outs = [tmp_path / f"soft{w}.csv" for w in (1, 2)]
-        for w, out in zip((1, 2), outs):
-            assert run("soft", "--input", grid_file, "--bins", "6", "--lambda", "10",
-                       "--workers", w, "--output", out) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+    def test_curve_is_the_library_curve(self, grid_file, tmp_path):
+        out, want = tmp_path / "soft.csv", tmp_path / "want.csv"
+        assert run("soft", "--input", grid_file, "--bins", "6", "--lambda", "10",
+                   "--alpha", "0.4", "--direction", "3,4", "--output", out) == 0
+        grid = read_grid(grid_file)
+        u = reparametrize_direction([3.0, 4.0])
+        params = SoftEccParams(lam=10.0, alpha=0.4, u=u, taus=uniform_thresholds(grid, 6))
+        coeffs = compute_coefficients(effective_field(grid, 0.4, u))
+        for workers in (1, 2):
+            write_curve(soft_ecc(grid, coeffs, params, workers), want)
+            assert out.read_bytes() == want.read_bytes(), workers
+
+    def test_workers_option_is_gone(self, grid_file, tmp_path, capsys):
+        # sigmoid blocks run on the calling thread, so a worker count would change nothing
+        with pytest.raises(SystemExit) as exc:
+            run("soft", "--input", grid_file, "--bins", "6", "--lambda", "10",
+                "--workers", "2", "--output", tmp_path / "soft.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --workers" in err
 
     def test_bad_direction_is_a_usage_error(self, grid_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

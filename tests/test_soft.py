@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest.mock import Mock
@@ -163,6 +164,16 @@ class TestParams:
                           taus=uniform_thresholds(g, 4))
         with pytest.raises(ValueError):
             soft_ecc_backward(g, compute_coefficients(g), p, np.ones(3))
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5])
+    def test_workers_checked(self, rng, workers):
+        g = random_int_grid(rng, 2, 4)
+        p = SoftEccParams(lam=1.0, alpha=0.0, u=unit(1, 0), taus=uniform_thresholds(g, 4))
+        coeffs = compute_coefficients(g)
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            soft_ecc(g, coeffs, p, workers)
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            soft_ecc_backward(g, coeffs, p, np.ones(len(p.taus)), workers)
 
 
 def linspace_positions(dims):
@@ -539,44 +550,55 @@ class TestThresholdScaling:
                 tracemalloc.stop()
             assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_pool_folds_block_results_as_they_come(self, rng):
-        # ~5,500 critical pixels in blocks of 50 give ~110 block results of
-        # 320 KB: held all at once they would add ~34 MiB to the ~33 MiB
-        # that two workers' sigmoid blocks take
+    def test_block_results_are_folded_as_they_come(self, rng):
+        # ~5,300 critical pixels in blocks of 50 give ~107 block results of
+        # 320 KB: held all at once they would add ~34 MiB to the ~16 MiB
+        # sigmoid block, and a second sigmoid block alive would add 16 MiB
         grid = ScalarGrid(rng.random((96, 96)))
         coeffs = compute_coefficients(grid)
         taus = ThresholdSet(np.linspace(0.0, 1.0, 40_000))
         params = SoftEccParams(lam=10.0, alpha=0.2, u=unit(1, 2), taus=taus)
-        for run in (
-            lambda: soft_ecc(grid, coeffs, params, workers=2),
-            lambda: soft_ecc_backward(grid, coeffs, params, np.ones(len(taus)), workers=2),
-        ):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        for workers in (1, 8):
+            for run in (
+                lambda: soft_ecc(grid, coeffs, params, workers=workers),
+                lambda: soft_ecc_backward(grid, coeffs, params, np.ones(len(taus)), workers=workers),
+            ):
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB at workers {workers}"
 
 
 class TestFanOut:
-    def test_pool_only_for_more_than_one_block(self, rng, pool_sizes):
+    def test_every_block_runs_on_the_calling_thread(self, rng, block_threads):
         grid = ScalarGrid(rng.random((32, 32)))
         coeffs = compute_coefficients(grid)
+        caller = threading.get_ident()
         # 20,000 thresholds make blocks of 100 of the ~600 critical pixels
-        for ntau, want in ((32, []), (20_000, [3, 3])):
+        for ntau, blocks in ((32, 1), (20_000, 6)):
             taus = ThresholdSet(np.linspace(0.0, 1.0, ntau))
             params = SoftEccParams(lam=10.0, alpha=0.2, u=unit(1, 2), taus=taus)
-            pool_sizes.clear()
-            soft_ecc(grid, coeffs, params, workers=3)
-            soft_ecc_backward(grid, coeffs, params, np.ones(ntau), workers=3)
-            assert pool_sizes == want, ntau
+            for workers in (1, 2, 8):
+                block_threads.clear()
+                soft_ecc(grid, coeffs, params, workers=workers)
+                soft_ecc_backward(grid, coeffs, params, np.ones(ntau), workers=workers)
+                assert block_threads == [caller] * (2 * blocks), (ntau, workers)
+
+
+def run_library(code: str):
+    """Run ``code`` in a fresh interpreter that imports ecckit from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ecckit.soft.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_the_library_needs_no_scipy():
     """scipy is the tests' independent reference, not a dependency of the library."""
-    code = """
+    run_library("""
 import sys
 sys.modules["scipy"] = None  # every scipy import now raises ImportError
 import numpy as np
@@ -590,8 +612,25 @@ coeffs = compute_coefficients(effective_field(g, 0.3, u))
 assert np.isfinite(soft_ecc(g, coeffs, params).values).all()
 assert np.isfinite(soft_ecc_backward(g, coeffs, params, np.ones(len(params.taus))).d_tau).all()
 assert gradient_check(g, params)["pass"]
-"""
-    env = {**os.environ, "PYTHONPATH": str(Path(ecckit.soft.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+""")
+
+
+def test_the_library_needs_no_threads():
+    """Every block runs on the calling thread, at every worker count: no thread pool."""
+    run_library("""
+import sys
+sys.modules["concurrent.futures"] = None  # every concurrent.futures import now raises ImportError
+import numpy as np
+from ecckit import (SoftEccParams, SyntheticSpec, compute_coefficients, compute_ecc,
+                    effective_field, generate_grid, gradient_check, reparametrize_direction,
+                    soft_ecc, soft_ecc_backward, uniform_thresholds)
+g = generate_grid(SyntheticSpec("uniform-random", (12, 10), seed=4))
+assert compute_ecc(g, uniform_thresholds(g, 6), workers=2).values[-1] == 1
+u = reparametrize_direction([1.0, 2.0])
+params = SoftEccParams(lam=10.0, alpha=0.3, u=u, taus=uniform_thresholds(g, 6))
+coeffs = compute_coefficients(effective_field(g, 0.3, u))
+assert np.isfinite(soft_ecc(g, coeffs, params, workers=2).values).all()
+grads = soft_ecc_backward(g, coeffs, params, np.ones(len(params.taus)), workers=2)
+assert np.isfinite(grads.d_tau).all()
+assert gradient_check(g, params)["pass"]
+""")
