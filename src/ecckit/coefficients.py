@@ -35,6 +35,14 @@ so each of the 3**d - 1 neighbor relations is one contiguous bool compare
 of two shifted slices of it.  Neighbors beyond the flat rows never precede
 a pixel; the only other boundary writes mark the trailing-axis edges,
 across which a flat neighbor wraps into another row.
+
+The exact path's 3D blocks break ties with the first axis least
+significant instead (:func:`_slab_rows`).  A cell is then a plane's 2D
+cell, or one times the edge between planes k and k + 1, whose corners'
+maximum is the max plane ``np.maximum(v[k], v[k + 1])``'s over it, so
+chi3 = sum_k chi2(v[k]) - sum_k chi2(max plane k), each 2D cell owned in
+the plane holding its maximum, on a tie the upper one.  Every value's
+coefficient sum, hence every curve, is the same under either order.
 """
 
 from __future__ import annotations
@@ -119,11 +127,18 @@ def _plan(dims: tuple[int, ...]) -> tuple[tuple[tuple, ...], ...]:
 
 
 def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Coefficients (int8) for first-axis rows [r0, r1), reading a one-row halo.
+    """Coefficients (int8) for first-axis rows [r0, r1), reading a one-row halo
+    in place (a copy only for a strided view, such as ``Chunked``'s halo box)."""
+    n, *rest = values.shape
+    lo = max(0, r0 - 1)
+    flat = values[lo : r1 + 1].reshape(-1)
+    return _kernel(flat, (r0 - lo) * math.prod(rest), (r1 - r0, *rest), _plan((min(n, 2), *rest)))
 
-    The rows and their halo are compared in place as one flat array (a
-    copy only for a strided view, such as ``Chunked``'s halo box), so a
-    neighbor offset is one flat shift ``s``.  Flat order is row-major
+
+def _kernel(flat: np.ndarray, i0: int, shape: tuple[int, ...], plan) -> np.ndarray:
+    """Coefficients (int8) of the ``shape`` pixels from ``flat[i0]`` on, by ``plan``.
+
+    A neighbor offset is one flat shift ``s``.  Flat order is row-major
     order, so the index tie-break reduces to an inclusive comparison for
     lexicographically negative offsets and, by antisymmetry, its negation
     for the opposite offset: one bool ``cmp = flat[p - s] <= flat[p]``
@@ -143,18 +158,14 @@ def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
     :func:`_plan`, each with its faces ANDed in, and each is counted just
     before it is dropped: a cell below the top dimension once every cell
     of the next dimension exists, a top cell, no cell's face, at once.  At
-    most the edges and squares (3D) or the edges and one square pair (2D)
-    are held, with the int8 result: about 20 and 7 bytes per pixel.
+    most the edges and squares (3D) or the edges and one square pair (2D
+    and in-plane plans) are held, with the int8 result: about 20 and 7
+    bytes per pixel.
     The result is allocated at the first count, above every mask built so
     far on the heap, so masks dropped later leave a hole below it that the
     next masks and the block's compaction reuse, rather than a heap top
     that malloc returns to the system and faults back in.
     """
-    dims = values.shape
-    shape = (r1 - r0,) + dims[1:]
-    lo, hi = max(0, r0 - 1), min(dims[0], r1 + 1)
-    flat = values[lo:hi].reshape(-1)
-    i0 = (r0 - lo) * math.prod(dims[1:])
     m = math.prod(shape)
     coeffs = None
 
@@ -183,7 +194,7 @@ def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
         for cell in cells:
             (np.subtract if k % 2 else np.add)(coeffs, cell.view(np.int8), out=coeffs)
 
-    *lower, top = _plan((min(dims[0], 2),) + dims[1:])
+    *lower, top = plan
     below: list[np.ndarray] = []
     for k, step in enumerate(lower, 1):
         cells = [cell for entry in step for cell in owned(*entry, below)]
@@ -194,6 +205,30 @@ def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
         count(len(lower) + 1, owned(*entry, below))
     count(len(lower), below)
     return coeffs.reshape(shape)
+
+
+def _slab_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """3D coefficients (int8) for first-axis rows [r0, r1) from 2D kernels,
+    ties broken with the first axis least significant.
+
+    The in-plane plan (its axis-1 wrap masks keep the planes apart) runs on
+    the max planes the rows touch, then on the rows, so the max planes'
+    copy in the values' dtype is gone before the rows' masks are built: a
+    5-row 128**3 block peaks at about 13 bytes per pixel on float32 and 18
+    on float64 (20 for :func:`_coefficient_rows`).
+    """
+    n, *rest = values.shape
+    plan = _plan((1, *rest))[:2]
+    k0, k1 = max(r0 - 1, 0), min(r1, n - 1)
+    low, high = values[k0:k1], values[k0 + 1 : k1 + 1]
+    maxed = _kernel(np.maximum(low, high).reshape(-1), 0, (k1 - k0, *rest), plan)
+    coeffs = _kernel(values[r0:r1].reshape(-1), 0, (r1 - r0, *rest), plan)
+    lifted = maxed * (high >= low).view(np.int8)  # held by plane k + 1
+    maxed -= lifted  # held by plane k
+    above = coeffs[k0 + 1 - r0 : k1 + 1 - r0]  # plane r1 lies past the rows
+    above -= lifted[: len(above)]
+    coeffs[: k1 - r0] -= maxed[r0 - k0 :]
+    return coeffs
 
 
 def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
@@ -208,9 +243,9 @@ def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
 
 
 #: Bytes per pixel of one exact-path block, above both peaks (tracemalloc):
-#: the kernel's (about 7 in 2D, 20 in 3D) and its compaction and binning's
-#: (about 25 per critical pixel, 28 on float64 grids, so about 16 per pixel on
-#: uniform-random grids, where about 60% of pixels are critical).
+#: the kernel's (about 7 in 2D; in 3D 20 row-major, 13 float32 and 18 float64
+#: in slabs) and compaction and binning's (about 25 per critical pixel, 28 on
+#: float64 grids, so about 16 per pixel on uniform-random grids, ~60% critical).
 _PIXEL_BYTES = 23.4
 
 #: Bytes one block may take: what a 65,536-pixel 3D block took when the

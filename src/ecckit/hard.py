@@ -9,7 +9,9 @@ Both strategies walk the flat pixel range in blocks, on the calling
 thread, through one span primitive, :func:`_span_bins`: the coefficients
 of the rows a block touches, computed on a view boxed to the block and a
 one-pixel halo, reading its halo rows, are compacted to the block's
-critical pixels and binned into ``(bins, coefficients)`` pairs.
+critical pixels and binned into ``(bins, coefficients)`` pairs.  3D
+coefficients come from plane slabs (:func:`_slab_rows`), ties broken with
+the first axis least significant, which leaves every curve unchanged.
 :func:`compute_ecc` folds blocks as they come, by one rule for T thresholds:
 held pairs (concatenated once more than 64 are held) that number T or
 more are added to one float64 histogram of T + 1 bins and dropped before
@@ -32,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import _blocks, _coefficient_rows, _critical_pixels, _row_block
+from .coefficients import _blocks, _coefficient_rows, _critical_pixels, _row_block, _slab_rows
 from .grid import EulerCurve, ScalarGrid, ThresholdSet, _positive_int
 
 
@@ -86,7 +88,8 @@ def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> t
     halo when the range keeps every earlier coordinate fixed, and to the
     full extent otherwise.  The range is then one contiguous slice of the
     raveled result, and a row-aligned range computes exactly its own rows.
-    The range is compacted to its critical pixels, in flat order.
+    3D rows come from :func:`_slab_rows`.  The range is compacted to its
+    critical pixels, in flat order.
     """
     values = grid.values
     first = np.unravel_index(start, grid.dims)
@@ -95,7 +98,8 @@ def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> t
         slice(max(0, first[a] - 1), last[a] + 2) if first[:a] == last[:a] else slice(0, None)
         for a in range(1, grid.ndim)
     ]
-    coeffs = _coefficient_rows(values[(slice(None), *box)], first[0], last[0] + 1)
+    rows = _slab_rows if grid.ndim == 3 else _coefficient_rows
+    coeffs = rows(values[(slice(None), *box)], first[0], last[0] + 1)
     local = [f - s.start for f, s in zip(first[1:], box)]
     offset = np.ravel_multi_index([0, *local], coeffs.shape)
     span = coeffs.ravel()[offset : offset + stop - start]
@@ -114,7 +118,7 @@ def compute_ecc(
     Blocks come from :func:`_blocks` one at a time, folded by the module's
     one rule, bit-identically across strategies and worker counts.
     ``workers`` is checked, but every block runs on the calling thread: a
-    block is about 150 numpy calls (40 in 2D), each holding the GIL, so on
+    block is about 90 numpy calls (40 in 2D), each holding the GIL, so on
     2 vCPUs two workers ran at 0.51-0.94x the one-worker speed (CPU/wall 1.0).
     """
     _positive_int("workers", workers)

@@ -9,11 +9,14 @@ import pytest
 
 import ecckit.coefficients
 from ecckit import (
+    Chunked,
     CoefficientGrid,
     CorruptionError,
     ScalarGrid,
     ThresholdSet,
+    FullSweep,
     compute_coefficients,
+    compute_ecc,
     oracle_ecc,
     read_coefficients,
     uniform_thresholds,
@@ -28,6 +31,7 @@ from ecckit.coefficients import (
     _critical_pixels,
     _faces,
     _row_block,
+    _slab_rows,
 )
 from ecckit.hard import _span_bins
 
@@ -238,6 +242,68 @@ class TestOwnershipReference:
                     assert np.array_equal(got, want[r0:r1]), (dims, r0, r1)
 
 
+def moved_axis_coefficients(values):
+    """Coefficients under ties broken with the first axis least significant:
+    those of the grid with its first axis moved last, moved back."""
+    moved = compute_coefficients(ScalarGrid(np.moveaxis(values, 0, -1))).coeffs
+    return np.moveaxis(moved, -1, 0)
+
+
+# 3D shapes with an extent of 1 on each axis, and taller ones
+SLAB_DIMS = [d for d in THIN_DIMS if len(d) == 3] + [(6, 5, 7), (8, 3, 4), (7, 4, 1)]
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_row_range_equals_moved_axis_coefficients(self, rng, dtype):
+        # integer values with many ties; every row range covers every block
+        # height, each block at the grid's edges and in its middle
+        for dims in SLAB_DIMS:
+            for _ in range(3):
+                values = rng.integers(0, 3, dims).astype(dtype)
+                want = moved_axis_coefficients(values)
+                for r0 in range(dims[0]):
+                    for r1 in range(r0 + 1, dims[0] + 1):
+                        got = _slab_rows(values, r0, r1)
+                        assert got.dtype == np.int8 and got.flags.c_contiguous
+                        assert np.array_equal(got, want[r0:r1]), (dims, r0, r1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_distinct_values_give_the_row_major_coefficients(self, rng, dtype):
+        for dims in SLAB_DIMS:
+            values = rng.permutation(math.prod(dims)).reshape(dims).astype(dtype)
+            want = compute_coefficients(ScalarGrid(values)).coeffs
+            for r0 in range(dims[0]):
+                for r1 in range(r0 + 1, dims[0] + 1):
+                    assert np.array_equal(_slab_rows(values, r0, r1), want[r0:r1]), (dims, r0, r1)
+
+    @pytest.mark.parametrize("chunk_len", [1, 7, 23])
+    def test_chunked_halo_boxes(self, rng, chunk_len):
+        # a chunk's coefficients come from a view boxed to the chunk and a
+        # one-pixel halo on each trailing axis
+        for dims in SLAB_DIMS:
+            g = ScalarGrid(rng.integers(0, 3, dims).astype(np.float32))
+            taus = ThresholdSet([0.5, 1.5, 2.5])
+            want, values = moved_axis_coefficients(g.values).ravel(), g.values.ravel()
+            for start in range(0, g.size, chunk_len):
+                stop = min(g.size, start + chunk_len)
+                bins, weights = _span_bins(g, taus, start, stop)
+                span = want[start:stop]
+                assert np.array_equal(weights, span[span != 0]), (dims, start)
+                assert np.array_equal(bins, taus.bin_indices(values[start:stop][span != 0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_curves_with_many_ties_equal_the_oracle(self, rng, dtype):
+        for trial in range(12):
+            dims = SLAB_DIMS[trial % len(SLAB_DIMS)] if trial % 2 else (9, 6, 5)
+            g = ScalarGrid(rng.integers(0, 4, dims).astype(dtype))
+            taus = ThresholdSet(np.arange(-1, 5) + 0.0)
+            want = oracle_ecc(g, taus).values
+            for strategy in (FullSweep(), Chunked(1), Chunked(7), Chunked(4096)):
+                got = compute_ecc(g, taus, strategy).values
+                assert got.tobytes() == want.tobytes(), (dims, strategy)
+
+
 class _PoisonedNumpy:
     """numpy, save that ``empty`` hands out memory filled with ``fill`` and
     keeps each array it hands out in ``handed``."""
@@ -363,6 +429,24 @@ class TestMemory:
             pixels = stop - start
             assert peak <= _PIXEL_BYTES * pixels, f"{dims}: {peak / pixels:.2f} bytes per pixel"
             assert peak <= _BLOCK_BYTES
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 18), (np.float64, 20.1)])
+    def test_slab_block_peak_per_pixel(self, rng, dtype, bound):
+        # a default-height interior 3D block through the slab kernel, whose
+        # max planes copy the values' dtype, compaction and binning
+        g = ScalarGrid(rng.random((12, 128, 128)).astype(dtype))
+        row = g.size // g.dims[0]
+        start, stop = 5 * row, (5 + _row_block(g.dims)) * row
+        taus = uniform_thresholds(g, 256)
+        _span_bins(g, taus, start, stop)  # the bucket table, built once per set
+        tracemalloc.start()
+        try:
+            _span_bins(g, taus, start, stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pixels = stop - start
+        assert peak <= bound * pixels, f"{peak / pixels:.2f} bytes per pixel"
 
     @pytest.mark.parametrize("dims", [
         (512, 512), (1024, 1024), (6000, 40), (128, 128, 128), (64, 50, 70), (9, 2, 1),

@@ -310,6 +310,16 @@ class TestThresholdSet:
         assert rounds(ts, np.float32) == 7  # 100 thresholds in one bucket
         assert rounds(ts, np.float64) == 1
 
+    def test_thresholds_a_subnormal_float32_ulp_apart(self):
+        # 262 thresholds one float32 ulp apart in [0, 7.3e-43]: the span is so
+        # small that the bucket scale caps at the largest float32 and buckets
+        # collapse, so lookups take several rounds; the bins stay exact
+        taus = np.arange(260, 522, dtype=np.uint32).view(np.float32)
+        assert taus[0] > 0 and taus[-1] <= 7.3e-43
+        ts = ThresholdSet(taus)
+        ulps = np.arange(530, dtype=np.uint32).view(np.float32)
+        assert_bins_exact(ts, np.concatenate([ulps, -ulps, [-1.0, 1.0, 7.3e-43]]))
+
     def test_a_single_threshold(self, rng):
         for tau in (0.0, -3.5, 1e300, 5e-324):
             ts = ThresholdSet([tau])

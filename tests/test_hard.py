@@ -408,7 +408,11 @@ class TestSpanCounts:
             g = random_int_grid(rng, 2 + trial % 2, 6, hi=3)
             taus = uniform_thresholds(g, 5)
             values = g.values.ravel()
-            coeffs = compute_coefficients(g).coeffs.ravel()
+            coeffs = compute_coefficients(g).coeffs
+            if g.ndim == 3:  # 3D blocks break ties with the first axis least significant
+                moved = compute_coefficients(ScalarGrid(np.moveaxis(g.values, 0, -1))).coeffs
+                coeffs = np.moveaxis(moved, -1, 0)
+            coeffs = coeffs.ravel()
             n, line, plane = g.size, g.dims[-1], g.size // g.dims[0]
             spans = [(0, n)]
             for _ in range(4):
