@@ -17,40 +17,42 @@ cell's highest vertex carries its maximum value, summing c(p) over pixels
 with value <= tau reproduces the Euler characteristic of the sublevel-set
 complex at tau exactly, for every tau and regardless of ties.
 
-A cell through p is keyed by its corner farthest from p, an offset in
-{-1, 0, 1}**d.  p owns an edge when that corner precedes p, and a larger
-cell when that corner precedes p and p owns each face of the cell through
-p (the corner with one nonzero entry set to zero), on which all its other
-corners lie.  Each owned cell adds (-1)**dimension to c(p).
-
 Consequences used by tests and callers:
 
 * coefficients sum to 1 on any grid (the full complex is contractible);
 * c(p) is determined by the 3x3 (2D) or 3x3x3 (3D) neighborhood of p;
 * attainable ranges are [-3, +1] in 2D and [-5, +7] in 3D.
 
-Coefficients are computed per block of first-axis rows, in :func:`_blocks`.
-The kernel reads a block and its one-row halo in place as one flat array,
-so each of the 3**d - 1 neighbor relations is one contiguous bool compare
-of two shifted slices of it.  Neighbors beyond the flat rows never precede
-a pixel; the only other boundary writes mark the trailing-axis edges,
-across which a flat neighbor wraps into another row.
+Coefficients come from slabs.  Split along an axis into slices v[k], a cell
+is a slice's cell, or one times the edge from slice k to k + 1, whose
+corners' maximum is that of the slab maximum m[k] = max(v[k], v[k + 1]), so
+chi_d = sum_k chi_{d-1}(v[k]) - sum_k chi_{d-1}(m[k]).  With the split axis
+the least significant tie-break, a pixel of v[k] has its coefficient in
+v[k], less those in m[k - 1] and m[k] where it holds the maximum (on a tie,
+the upper slice does).  Down to one axis, slices are lines: along a line a,
+with cmp[j] = a[j] <= a[j + 1] (on a tie a[j + 1] owns the edge),
+c(j) = cmp[j] - cmp[j - 1], padded with 1 after the line and 0 before it.
+A slab maximum's lines compare maxima over the slab's corners.  The axis
+order sets the tie order; every curve is the same under either:
 
-The exact path's 3D blocks break ties with the first axis least
-significant instead (:func:`_slab_rows`).  A cell is then a plane's 2D
-cell, or one times the edge between planes k and k + 1, whose corners'
-maximum is the max plane ``np.maximum(v[k], v[k + 1])``'s over it, so
-chi3 = sum_k chi2(v[k]) - sum_k chi2(max plane k), each 2D cell owned in
-the plane holding its maximum, on a tie the upper one.  Every value's
-coefficient sum, hence every curve, is the same under either order.
+    ===================  ===========  ==========================================
+    slabs over           lines along  ties broken by
+    ===================  ===========  ==========================================
+    axes d - 1, ..., 1   axis 0       row-major index (``compute_coefficients``)
+    axis 0, then axis 2  axis 1       axis 0 least significant (``_slab_rows``)
+    ===================  ===========  ==========================================
+
+Coefficients are computed per block of first-axis rows, in :func:`_blocks`,
+reading the block and a one-row halo in place as one flat array: a compare
+is of two shifted slices of it, and maxima over corners are taken in chunks
+of :data:`_CHUNK` pixels, so no slab maximum is held in full.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
-from itertools import product
+from functools import partial
 
 import numpy as np
 
@@ -81,154 +83,92 @@ class CoefficientGrid:
         return self.coeffs.shape
 
 
-@cache
-def _cells(nd: int) -> tuple[tuple[int, ...], ...]:
-    """Far corners of the 3**nd - 1 cells through a pixel, by increasing dimension."""
-    corners = (off for off in product((-1, 0, 1), repeat=nd) if any(off))
-    return tuple(sorted(corners, key=lambda off: nd - off.count(0)))
+#: Flat pixels per compare of a slab maximum: the maximum over a chunk's
+#: corners is the only copy of the values made, and stays cache-sized.
+_CHUNK = 32_768
 
 
-@cache
-def _faces(off: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Far corners of the cell's faces through the pixel, save the pixel itself."""
-    faces = (off[:a] + (0,) + off[a + 1 :] for a, o in enumerate(off) if o)
-    return tuple(face for face in faces if any(face))
+def _leq(flat: np.ndarray, shifts: tuple[int, ...], j0: int, j1: int, s: int, out: np.ndarray):
+    """``out[j - j0] = g[j] <= g[j + s]`` for j in [j0, j1), with ``g[j]`` the
+    maximum of ``flat`` over the corners ``j + (any sum of shifts)``."""
+    step = _CHUNK if shifts else max(j1 - j0, 1)  # no maximum, no copy
+    for c0 in range(j0, j1, step):
+        c1 = min(j1, c0 + step)
+        g = flat[c0 : c1 + s + sum(shifts)]
+        for t in shifts:
+            g = np.maximum(g[:-t], g[t:])
+        np.less_equal(g[: c1 - c0], g[s : s + c1 - c0], out=out[c0 - j0 : c1 - j0])
+    return out
 
 
-@lru_cache(maxsize=64)
-def _plan(dims: tuple[int, ...]) -> tuple[tuple[tuple, ...], ...]:
-    """The kernel's compares on a grid of extents ``dims``, by cell dimension.
+def _lines(flat, i0: int, shape: tuple[int, ...], axis: int, slabs, shifts=()) -> np.ndarray:
+    """Coefficients (int8) of the ``shape`` pixels from ``flat[i0]`` on, of the
+    maximum over the corners ``shifts``, slabbed over the axes ``slabs``
+    (least significant first) with lines along ``axis``.
 
-    Step k has one entry per lexicographically negative far corner of a
-    k-cell: its flat shift, the positions of its and its opposite's faces
-    among step k - 1's cells (corner, opposite, corner, ...), and the
-    trailing axis across whose edge an edge's shift wraps (0: none).  A
-    corner across an axis of extent 1 relates no pixels and is left out,
-    with every cell it is a face of.  Only whether the first extent is 1
-    matters, so callers cap it at 2.
+    A line's ``cmp`` spans the block and the line before it: False before
+    the flat rows, True past them and, along a trailing axis, True at each
+    line's end, whose 1 before the next line is given back to its first
+    pixel.  So any row range gives the whole-grid coefficients.  Corners
+    past the flat rows lie on a slab's last slice, where it is zeroed.
     """
-    nd = len(dims)
-    strides = [math.prod(dims[a + 1 :]) for a in range(nd)]
-    zero = (0,) * nd
-    steps, below = [], {}
-    for k in range(1, nd + 1):
-        step, cells = [], {}
-        for off in _cells(nd):
-            if nd - off.count(0) != k or off > zero or any(o and n == 1 for o, n in zip(off, dims)):
-                continue
-            opposite = tuple(-o for o in off)
-            faces = (tuple(below[face] for face in _faces(c)) for c in (off, opposite))
-            s = -sum(o * st for o, st in zip(off, strides))
-            step.append((s, *faces, off.index(-1) if k == 1 else 0))
-            cells[off], cells[opposite] = len(cells), len(cells) + 1
-        steps.append(tuple(step))
-        below = cells
-    return tuple(steps)
+    m = math.prod(shape)
+    if slabs:
+        a, *inner = slabs
+        s = math.prod(shape[a + 1 :])
+        coeffs = _lines(flat, i0, shape, axis, inner, shifts)
+        maxed = _lines(flat, i0, shape, axis, inner, (*shifts, s))
+        maxed.reshape(shape)[(slice(None),) * a + (-1,)] = 0  # no slice past the last
+        j1 = max(i0, min(i0 + m, flat.size - s - sum(shifts)))
+        return _attribute(coeffs, maxed, _leq(flat, shifts, i0, j1, s, np.empty(m, dtype=bool)), s)
+    s = math.prod(shape[axis + 1 :])
+    cmp = np.empty(m + s, dtype=bool)  # cmp[j]: pixel i0 - s + j against the next one
+    head = max(0, s - i0)
+    tail = min(m + s, max(head, flat.size - sum(shifts) - i0))
+    _leq(flat, shifts, i0 - s + head, i0 - s + tail, s, cmp[head:tail])
+    cmp[:head], cmp[tail:] = False, True
+    if axis:  # a flat neighbor past a line's end wraps into the next line
+        cmp.reshape(-1, s)[:: shape[axis]] = True  # head: none, or the line before
+    coeffs = np.subtract(cmp[s:].view(np.int8), cmp[:m].view(np.int8))
+    if axis:
+        coeffs.reshape(shape)[(slice(None),) * axis + (0,)] += 1
+    return coeffs
+
+
+def _attribute(coeffs, maxed, up, s: int, d: int = 0) -> np.ndarray:
+    """``coeffs`` less the slab maxima's coefficients ``maxed``, ``coeffs[i]``
+    lying at ``maxed[i + d]``: each is held by the slice holding the maximum,
+    the upper one (``s`` on) where ``up``, which holds on a tie."""
+    lifted = np.multiply(maxed, up.view(np.int8), out=up.view(np.int8))
+    maxed -= lifted
+    held = coeffs[: maxed.size - d]
+    held -= maxed[d : d + held.size]
+    above = coeffs[s - d : s - d + lifted.size]  # a slice past the rows is left out
+    above -= lifted[: above.size]
+    return coeffs
 
 
 def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """Coefficients (int8) for first-axis rows [r0, r1), reading a one-row halo
     in place (a copy only for a strided view, such as ``Chunked``'s halo box)."""
-    n, *rest = values.shape
+    _, *rest = values.shape
     lo = max(0, r0 - 1)
     flat = values[lo : r1 + 1].reshape(-1)
-    return _kernel(flat, (r0 - lo) * math.prod(rest), (r1 - r0, *rest), _plan((min(n, 2), *rest)))
-
-
-def _kernel(flat: np.ndarray, i0: int, shape: tuple[int, ...], plan) -> np.ndarray:
-    """Coefficients (int8) of the ``shape`` pixels from ``flat[i0]`` on, by ``plan``.
-
-    A neighbor offset is one flat shift ``s``.  Flat order is row-major
-    order, so the index tie-break reduces to an inclusive comparison for
-    lexicographically negative offsets and, by antisymmetry, its negation
-    for the opposite offset: one bool ``cmp = flat[p - s] <= flat[p]``
-    over the block's rows, widened by ``s``, gives both masks as
-    ``cmp[:m]`` and ``~cmp[s:]``.
-
-    Where ``p - s`` or ``p`` falls outside the flat rows, ``cmp`` is set
-    False at the head and True at the tail: that neighbor lies outside the
-    grid and precedes no pixel.  Inside them, a shift wraps into another
-    row only across the edge of a trailing axis, so the lower mask of each
-    trailing-axis edge is set False at index 0 of its axis and the upper
-    mask at index -1; every square and cube ANDs in the edges it contains
-    and needs no write of its own.  The tie-break is translation
-    invariant, so any row range reproduces the whole-grid coefficients.
-
-    Cells are built one dimension at a time, in the order of
-    :func:`_plan`, each with its faces ANDed in, and each is counted just
-    before it is dropped: a cell below the top dimension once every cell
-    of the next dimension exists, a top cell, no cell's face, at once.  At
-    most the edges and squares (3D) or the edges and one square pair (2D
-    and in-plane plans) are held, with the int8 result: about 20 and 7
-    bytes per pixel.
-    The result is allocated at the first count, above every mask built so
-    far on the heap, so masks dropped later leave a hole below it that the
-    next masks and the block's compaction reuse, rather than a heap top
-    that malloc returns to the system and faults back in.
-    """
-    m = math.prod(shape)
-    coeffs = None
-
-    def owned(s, lo_faces, hi_faces, wrap, below):
-        """Masks of the cells keyed by a corner at flat shift ``s`` and by its
-        opposite: whether it precedes p, then, ``below``'s faces ANDed in,
-        whether p owns the cell."""
-        cmp = np.empty(m + s, dtype=bool)
-        head, tail = max(0, s - i0), min(m + s, flat.size - i0)  # both operands in the flat rows
-        j0, j1 = i0 + head, i0 + tail
-        np.less_equal(flat[j0 - s : j1 - s], flat[j0:j1], out=cmp[head:tail])
-        cmp[:head], cmp[tail:] = False, True
-        pair = cmp[:m], ~cmp[s:]
-        if wrap:
-            pair[0].reshape(shape)[(slice(None),) * wrap + (0,)] = False
-            pair[1].reshape(shape)[(slice(None),) * wrap + (-1,)] = False
-        for cell, faces in zip(pair, (lo_faces, hi_faces)):
-            for face in faces:
-                cell &= below[face]
-        return pair
-
-    def count(k, cells):
-        nonlocal coeffs
-        if coeffs is None:  # the first count: above every mask so far
-            coeffs = np.ones(m, dtype=np.int8)
-        for cell in cells:
-            (np.subtract if k % 2 else np.add)(coeffs, cell.view(np.int8), out=coeffs)
-
-    *lower, top = plan
-    below: list[np.ndarray] = []
-    for k, step in enumerate(lower, 1):
-        cells = [cell for entry in step for cell in owned(*entry, below)]
-        if below:
-            count(k - 1, below)
-        below = cells
-    for entry in top:
-        count(len(lower) + 1, owned(*entry, below))
-    count(len(lower), below)
-    return coeffs.reshape(shape)
+    shape = (r1 - r0, *rest)
+    return _lines(flat, (r0 - lo) * math.prod(rest), shape, 0, range(len(rest), 0, -1)).reshape(shape)
 
 
 def _slab_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """3D coefficients (int8) for first-axis rows [r0, r1) from 2D kernels,
-    ties broken with the first axis least significant.
-
-    The in-plane plan (its axis-1 wrap masks keep the planes apart) runs on
-    the max planes the rows touch, then on the rows, so the max planes'
-    copy in the values' dtype is gone before the rows' masks are built: a
-    5-row 128**3 block peaks at about 13 bytes per pixel on float32 and 18
-    on float64 (20 for :func:`_coefficient_rows`).
-    """
+    """3D coefficients (int8) for first-axis rows [r0, r1) from plane slabs,
+    ties broken with the first axis least significant."""
     n, *rest = values.shape
-    plan = _plan((1, *rest))[:2]
+    plane = math.prod(rest)
     k0, k1 = max(r0 - 1, 0), min(r1, n - 1)
-    low, high = values[k0:k1], values[k0 + 1 : k1 + 1]
-    maxed = _kernel(np.maximum(low, high).reshape(-1), 0, (k1 - k0, *rest), plan)
-    coeffs = _kernel(values[r0:r1].reshape(-1), 0, (r1 - r0, *rest), plan)
-    lifted = maxed * (high >= low).view(np.int8)  # held by plane k + 1
-    maxed -= lifted  # held by plane k
-    above = coeffs[k0 + 1 - r0 : k1 + 1 - r0]  # plane r1 lies past the rows
-    above -= lifted[: len(above)]
-    coeffs[: k1 - r0] -= maxed[r0 - k0 :]
-    return coeffs
+    flat = values[k0 : r1 + 1].reshape(-1)
+    coeffs = _lines(flat, (r0 - k0) * plane, (r1 - r0, *rest), 1, (2,))
+    maxed = _lines(flat, 0, (k1 - k0, *rest), 1, (2,), (plane,))
+    up = _leq(flat, (), 0, maxed.size, plane, np.empty(maxed.size, dtype=bool))
+    return _attribute(coeffs, maxed, up, plane, (r0 - k0) * plane).reshape(r1 - r0, *rest)
 
 
 def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
@@ -243,8 +183,8 @@ def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
 
 
 #: Bytes per pixel of one exact-path block, above both peaks (tracemalloc):
-#: the kernel's (about 7 in 2D; in 3D 20 row-major, 13 float32 and 18 float64
-#: in slabs) and compaction and binning's (about 25 per critical pixel, 28 on
+#: the kernel's (2D: 4, float64 6; 3D: 8 row-major and 7 in slabs, float64 13
+#: and 10) and compaction and binning's (about 25 per critical pixel, 28 on
 #: float64 grids, so about 16 per pixel on uniform-random grids, ~60% critical).
 _PIXEL_BYTES = 23.4
 

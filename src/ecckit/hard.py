@@ -118,8 +118,9 @@ def compute_ecc(
     Blocks come from :func:`_blocks` one at a time, folded by the module's
     one rule, bit-identically across strategies and worker counts.
     ``workers`` is checked, but every block runs on the calling thread: a
-    block is about 90 numpy calls (40 in 2D), each holding the GIL, so on
-    2 vCPUs two workers ran at 0.51-0.94x the one-worker speed (CPU/wall 1.0).
+    5-row 128**3 block is 90 numpy calls (a 160-row 512**2 block 41), each
+    holding the GIL, so on 2 vCPUs two workers ran at 0.51-0.94x the
+    one-worker speed (CPU/wall 1.0).
     """
     _positive_int("workers", workers)
     n, held, pairs, hist = len(taus), [], 0, None

@@ -26,10 +26,8 @@ from ecckit.coefficients import (
     COEFF_RANGE,
     _BLOCK_BYTES,
     _PIXEL_BYTES,
-    _cells,
     _coefficient_rows,
     _critical_pixels,
-    _faces,
     _row_block,
     _slab_rows,
 )
@@ -80,6 +78,12 @@ def use_block_target(monkeypatch, target):
     if target is not None:
         budget = target * _PIXEL_BYTES
         monkeypatch.setattr(ecckit.coefficients, "_row_block", lambda dims: _row_block(dims, budget))
+
+
+# the default chunk of flat pixels per slab-maximum compare, then chunks of 1
+# and 5: every grid here is smaller than the default, and the small ones put
+# a chunk edge at or near every pixel
+CHUNKS = [ecckit.coefficients._CHUNK, 1, 5]
 
 
 def curve_from_coefficients(grid, coeffs, taus):
@@ -198,25 +202,6 @@ class TestInvariants:
                 ), (dims, kind, dtype, target)
 
 
-class TestOwnershipRule:
-    @pytest.mark.parametrize("nd, count", [(2, 8), (3, 26)])
-    def test_cells_and_their_faces(self, nd, count):
-        def dimension(off):
-            return sum(map(abs, off))
-
-        cells = _cells(nd)
-        assert len(cells) == count
-        assert set(cells) == set(product((-1, 0, 1), repeat=nd)) - {(0,) * nd}
-        dims = [dimension(off) for off in cells]
-        assert dims == sorted(dims)  # every face is visited before its cell
-        for off, k in zip(cells, dims):
-            faces = _faces(off)
-            assert len(faces) == (k if k > 1 else 0), off
-            assert all(dimension(face) == k - 1 for face in faces), off
-            # a face keeps the cell's far corner on every axis it spans
-            assert all(f in (0, o) for face in faces for f, o in zip(face, off)), off
-
-
 class TestOwnershipReference:
     @pytest.mark.parametrize("target", BLOCK_TARGETS)
     @pytest.mark.parametrize("kind", ["tied", "constant", "random"])
@@ -229,17 +214,19 @@ class TestOwnershipReference:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["tied", "constant", "random"])
-    def test_every_row_range(self, rng, kind, dtype):
+    def test_every_row_range(self, rng, monkeypatch, kind, dtype):
         # a block at the grid's edge reads a one-sided halo, one in the
         # middle a halo on both sides, and a whole grid none
         for dims in THIN_DIMS:
             values = thin_values(rng, kind, dims, dtype)
             want = ownership_coefficients(values)
-            for r0 in range(dims[0]):
-                for r1 in range(r0 + 1, dims[0] + 1):
-                    got = _coefficient_rows(values, r0, r1)
-                    assert got.dtype == np.int8 and got.flags.c_contiguous
-                    assert np.array_equal(got, want[r0:r1]), (dims, r0, r1)
+            for chunk in CHUNKS:
+                monkeypatch.setattr(ecckit.coefficients, "_CHUNK", chunk)
+                for r0 in range(dims[0]):
+                    for r1 in range(r0 + 1, dims[0] + 1):
+                        got = _coefficient_rows(values, r0, r1)
+                        assert got.dtype == np.int8 and got.flags.c_contiguous
+                        assert np.array_equal(got, want[r0:r1]), (dims, chunk, r0, r1)
 
 
 def moved_axis_coefficients(values):
@@ -255,18 +242,20 @@ SLAB_DIMS = [d for d in THIN_DIMS if len(d) == 3] + [(6, 5, 7), (8, 3, 4), (7, 4
 
 class TestSlabs:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_every_row_range_equals_moved_axis_coefficients(self, rng, dtype):
+    def test_every_row_range_equals_moved_axis_coefficients(self, rng, monkeypatch, dtype):
         # integer values with many ties; every row range covers every block
         # height, each block at the grid's edges and in its middle
         for dims in SLAB_DIMS:
             for _ in range(3):
                 values = rng.integers(0, 3, dims).astype(dtype)
                 want = moved_axis_coefficients(values)
-                for r0 in range(dims[0]):
-                    for r1 in range(r0 + 1, dims[0] + 1):
-                        got = _slab_rows(values, r0, r1)
-                        assert got.dtype == np.int8 and got.flags.c_contiguous
-                        assert np.array_equal(got, want[r0:r1]), (dims, r0, r1)
+                for chunk in CHUNKS:
+                    monkeypatch.setattr(ecckit.coefficients, "_CHUNK", chunk)
+                    for r0 in range(dims[0]):
+                        for r1 in range(r0 + 1, dims[0] + 1):
+                            got = _slab_rows(values, r0, r1)
+                            assert got.dtype == np.int8 and got.flags.c_contiguous
+                            assert np.array_equal(got, want[r0:r1]), (dims, chunk, r0, r1)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_distinct_values_give_the_row_major_coefficients(self, rng, dtype):
@@ -379,10 +368,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_single_block_peak_per_pixel(self, rng, dtype):
-        # the cell masks held at once, one bool per pixel each, and the int8
-        # result set the peak: about 7 bytes per pixel in 2D and 19 in 3D; a
-        # copy of the grid in its dtype, or every relation's masks held to the
-        # end of the block (9.1 and 29.4), would exceed it
+        # the int8 coefficients and bool compares held at once, and a chunk of
+        # corner maxima in the values' dtype, set the peak: 4.0 bytes per
+        # pixel in 2D (6.1 on float64) and 7.6 in 3D (12.1 on float64); a
+        # copy of a float64 grid (8 bytes per pixel) would exceed the 2D bound
         for dims, bound in [((256, 256), 7.5), ((16, 64, 64), 21)]:
             g = ScalarGrid(rng.random(dims).astype(dtype))
             assert _row_block(g.dims) == g.dims[0]  # one block
@@ -393,6 +382,21 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * g.size, f"{dims}: {peak / g.size:.2f} bytes per pixel"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_3d_block_peak_per_pixel(self, rng, dtype):
+        # no plane of slab maxima is held, only a chunk of them: a one-block
+        # 3D call peaks at 7.6 bytes per pixel (12.1 on float64), and a kernel
+        # holding a bool mask per cell relation (19.4) would exceed the bound
+        g = ScalarGrid(rng.random((16, 64, 64)).astype(dtype))
+        assert _row_block(g.dims) == g.dims[0]  # one block
+        tracemalloc.start()
+        try:
+            compute_coefficients(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * g.size, f"{peak / g.size:.2f} bytes per pixel"
 
     def test_interior_block_peak_per_pixel(self, rng):
         # a block of the default height between two others, which reads a halo
@@ -432,8 +436,9 @@ class TestMemory:
 
     @pytest.mark.parametrize("dtype, bound", [(np.float32, 18), (np.float64, 20.1)])
     def test_slab_block_peak_per_pixel(self, rng, dtype, bound):
-        # a default-height interior 3D block through the slab kernel, whose
-        # max planes copy the values' dtype, compaction and binning
+        # a default-height interior 3D block through the slab kernel, which
+        # copies only a chunk of its corner maxima, compaction and binning:
+        # 15.1 bytes per pixel on float32 and 16.6 on float64, set by binning
         g = ScalarGrid(rng.random((12, 128, 128)).astype(dtype))
         row = g.size // g.dims[0]
         start, stop = 5 * row, (5 + _row_block(g.dims)) * row
