@@ -183,12 +183,14 @@ def _cmd_compute(args) -> int:
     write_curve(curve, args.output)
     if args.emit_timing:
         block = _block_pixels(grid, args.strategy)
+        table = taus._tables.get(grid.values.dtype)  # none: a direct search
         payload = {
             "strategy": str(args.strategy),
             "dims": list(grid.dims),
             "bins": len(taus),
             "block_pixels": block,
             "blocks": -(-grid.size // block),
+            "bin_rounds": table[4] if table else 0,
             "wall_ms": wall_ms,
         }
         with open(args.emit_timing, "w") as f:

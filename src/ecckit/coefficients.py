@@ -45,7 +45,7 @@ order sets the tie order; every curve is the same under either:
 Coefficients are computed per block of first-axis rows, in :func:`_blocks`,
 reading the block and a one-row halo in place as one flat array: a compare
 is of two shifted slices of it, and maxima over corners are taken in chunks
-of :data:`_CHUNK` pixels, so no slab maximum is held in full.
+of :data:`_CHUNK` pixels, so no slab maximum but a 3D block's planes is held.
 """
 
 from __future__ import annotations
@@ -165,9 +165,9 @@ def _slab_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
     plane = math.prod(rest)
     k0, k1 = max(r0 - 1, 0), min(r1, n - 1)
     flat = values[k0 : r1 + 1].reshape(-1)
-    coeffs = _lines(flat, (r0 - k0) * plane, (r1 - r0, *rest), 1, (2,))
-    maxed = _lines(flat, 0, (k1 - k0, *rest), 1, (2,), (plane,))
+    maxed = _lines(np.maximum(flat[:-plane], flat[plane:]), 0, (k1 - k0, *rest), 1, (2,))
     up = _leq(flat, (), 0, maxed.size, plane, np.empty(maxed.size, dtype=bool))
+    coeffs = _lines(flat, (r0 - k0) * plane, (r1 - r0, *rest), 1, (2,))
     return _attribute(coeffs, maxed, up, plane, (r0 - k0) * plane).reshape(r1 - r0, *rest)
 
 
@@ -183,9 +183,10 @@ def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
 
 
 #: Bytes per pixel of one exact-path block, above both peaks (tracemalloc):
-#: the kernel's (2D: 4, float64 6; 3D: 8 row-major and 7 in slabs, float64 13
-#: and 10) and compaction and binning's (about 25 per critical pixel, 28 on
-#: float64 grids, so about 16 per pixel on uniform-random grids, ~60% critical).
+#: the kernel's (2D: 4, float64 5; 3D: 8 row-major and 9 in slabs, float64 13
+#: and 15) and compaction and binning's (about 22 per critical pixel, 26 on
+#: float64 grids, so 13-16 per pixel on uniform-random grids, ~60% critical).
+#: 7- and 10-row 128**3 blocks were no faster and raised the op peak 0.44/1.1 MiB.
 _PIXEL_BYTES = 23.4
 
 #: Bytes one block may take: what a 65,536-pixel 3D block took when the

@@ -6,7 +6,7 @@ Conventions shared by every other module:
   fastest).  Values live in float32 in memory when they come as float32,
   as from files and the synthetic generators, and in float64 otherwise;
   the on-disk payload is little-endian float32, so such grids round-trip
-  bit-exactly.  Every comparison with a threshold happens in float64.
+  bit-exactly.  Every comparison with a threshold is exact (:class:`ThresholdSet`).
 * A linear (flat) pixel index is the row-major flattening of its
   coordinates, as ``np.ravel_multi_index`` computes it; it orders tied
   values in the coefficient pass and locates critical pixels.
@@ -123,11 +123,14 @@ class ThresholdSet:
     answer lies within the value's bucket: exact, with no certificate.  A lookup
     starts at the count of thresholds in earlier buckets and takes a branchless
     halving round per bit of the fullest bucket's count; evenly spaced
-    thresholds of ordinary magnitude a float32 ulp apart or more take one.
-    The table is built on first use for each values dtype and cached.  It is a
-    pure function of the set, so two caller threads that build it at once build
-    the same table and need no lock.  Calls with fewer than one value per 64
-    thresholds search directly and build no table.
+    thresholds of ordinary magnitude a float32 ulp apart or more take one, a key
+    ``2 * bucket + (value > edge)`` with the edge the first threshold from the
+    bucket on, rounded down to the values' dtype (exact: a float32 value exceeds
+    a threshold exactly when it exceeds it rounded down).  The table is built on
+    first use for each values dtype and cached.  It is a pure function of the
+    set, so two caller threads that build it at once build the same table and
+    need no lock.  Calls with fewer than one value per 64 thresholds search
+    directly and build no table.
     """
 
     def __init__(self, taus):
@@ -152,9 +155,10 @@ class ThresholdSet:
         return f"ThresholdSet(n={len(self)}, lo={self.taus[0]}, hi={self.taus[-1]})"
 
     def _table(self, dtype: np.dtype):
-        """``(t0, s, top, start, rounds, padded)`` for values of ``dtype``, cached:
-        ``start[k]`` counts the thresholds in buckets below ``k``, and ``padded``
-        is the thresholds followed by enough +inf that no round reads past it."""
+        """``(t0, s, top, start, rounds, padded, edges)`` for values of ``dtype``, cached:
+        ``start[k]`` counts the thresholds in buckets below ``k``, ``padded`` is the
+        thresholds followed by enough +inf that no round reads past it, and ``edges``
+        (one round only, else None) is ``padded[start]`` rounded down to ``dtype``."""
         n, big = len(self), np.finfo(dtype).max
         t0, hi = np.clip(self.taus[[0, -1]], -big, big).astype(dtype)
         half_span = float(hi) / 2 - float(t0) / 2  # finite where the span itself overflows
@@ -166,8 +170,35 @@ class ThresholdSet:
         start = np.zeros(top + 1, np.int32 if n < 1 << 31 else np.intp)
         start[1:] = np.cumsum(counts[:-1], out=counts[:-1])  # in place: no int64 copy
         padded = np.concatenate([self.taus, np.full((1 << rounds) - 1, np.inf)])
-        table = self._tables[dtype] = t0, s, top, start, rounds, padded
+        edges = padded[start] if rounds == 1 else None
+        if rounds == 1:  # rounded down: v > tau exactly when v > rd(tau), for v of dtype
+            with np.errstate(over="ignore", under="ignore"):  # to +-inf, 0 or a subnormal
+                near = edges.astype(dtype)
+                edges = np.where(near > edges, np.nextafter(near, -np.inf), near)
+        table = self._tables[dtype] = t0, s, top, start, rounds, padded, edges
         return table
+
+    def _bin_pairs(self, v: np.ndarray, weights=None) -> tuple:
+        """``(bins, weights)`` of float32 or float64 values: a bin per value or, given weights and as
+        many values as a one-round table has keys, a bin per nonzero key of their key histogram."""
+        if 64 * v.size < len(self):  # too few values to pay for a table
+            return np.searchsorted(self.taus, v, side="left"), weights
+        t0, s, top, start, rounds, padded, edges = self._tables.get(v.dtype) or self._table(v.dtype)
+        idx = _buckets(v, t0, s, top)
+        if edges is not None:  # one round: the key 2 * bucket + (v > edge) settles the bin
+            hit = v > edges.take(idx)  # in the values' dtype: no float64 copy
+            idx <<= 1
+            idx += hit
+            if weights is not None and idx.size >= 2 * start.size:  # more values than keys
+                hist = np.bincount(idx, weights)  # a block-local histogram of the keys
+                idx = np.flatnonzero(hist)
+                weights = hist[idx]
+            return start.take(idx >> 1) + (idx & 1), weights  # intp
+        idx[...] = start.take(idx)  # intp, so later gathers and counts convert nothing
+        for k in reversed(range(rounds)):  # the answer lies in [idx, idx + 2**(k + 1) - 1]
+            hit = padded[(1 << k) - 1:].take(idx) < v
+            idx += hit << k if k else hit
+        return idx, weights
 
     def bin_indices(self, values) -> np.ndarray:
         """For each value, the smallest index j with value <= taus[j].
@@ -180,15 +211,7 @@ class ThresholdSet:
             v = v.astype(np.float64, copy=False)
         if v.size and np.isnan(v.min()):  # NaN propagates through min, with no mask built
             raise ValueError("values to bin must not be NaN")
-        if 64 * v.size < len(self):  # too few values to pay for a table
-            return np.searchsorted(self.taus, v, side="left")
-        t0, s, top, start, rounds, padded = self._tables.get(v.dtype) or self._table(v.dtype)
-        idx = _buckets(v, t0, s, top)
-        idx[...] = start.take(idx)  # intp, so later gathers and counts convert nothing
-        for k in reversed(range(rounds)):  # the answer lies in [idx, idx + 2**(k + 1) - 1]
-            hit = padded[(1 << k) - 1:].take(idx) < v
-            idx += hit << k if k else hit
-        return idx[()]  # a numpy scalar for a scalar value, as the direct search gives
+        return self._bin_pairs(v)[0][()]  # a numpy scalar for a scalar value, as the direct search gives
 
 
 def _positive_int(name: str, value) -> int:

@@ -9,18 +9,20 @@ Both strategies walk the flat pixel range in blocks, on the calling
 thread, through one span primitive, :func:`_span_bins`: the coefficients
 of the rows a block touches, computed on a view boxed to the block and a
 one-pixel halo, reading its halo rows, are compacted to the block's
-critical pixels and binned into ``(bins, coefficients)`` pairs.  3D
+critical pixels and binned into ``(bins, weights)`` pairs, one per pixel
+or, from 2(2T + 1) pixels on in one round, T the thresholds, one per
+nonzero key of a block's key histogram (:meth:`ThresholdSet._bin_pairs`).  3D
 coefficients come from plane slabs (:func:`_slab_rows`), ties broken with
 the first axis least significant, which leaves every curve unchanged.
-:func:`compute_ecc` folds blocks as they come, by one rule for T thresholds:
-held pairs (concatenated once more than 64 are held) that number T or
-more are added to one float64 histogram of T + 1 bins and dropped before
-the next block is computed.  At the end, fewer than T/4 pairs with no
-histogram are summed per distinct bin, each int64 partial sum repeated up
-to the next bin; otherwise the rest join the histogram and it is prefix
-summed.  The overflow bin drops; memory is O(T + block).  Weights and sums
-are integers far below 2**53, hence exact and bit-identical across
-strategies and worker counts.  The strategies differ only in block size:
+:func:`compute_ecc` folds blocks as they come, by one rule: held pairs
+(concatenated once more than 64 are held) that number T or more are added
+to one float64 histogram of T + 1 bins and dropped before the next block is
+computed.  At the end, fewer than T/4 pairs with no histogram are summed
+per distinct bin, each int64 partial sum repeated up to the next bin;
+otherwise the rest join the histogram and it is prefix summed.  The
+overflow bin drops; memory is O(T + block).  Weights and sums are integers
+far below 2**53, hence exact and bit-identical across strategies and worker
+counts.  The strategies differ only in block size:
 
 * ``FullSweep``: runs of first-axis rows, as many as fit a block's byte
   budget (:func:`_row_block`): 5 rows at 128**3, 160 at 512**2.
@@ -81,7 +83,7 @@ def _block_pixels(grid: ScalarGrid, strategy: Strategy) -> int:
 
 
 def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> tuple:
-    """Bins and int8 coefficients of the critical pixels among pixels [start, stop).
+    """``(bins, weights)`` of the critical pixels among pixels [start, stop).
 
     Coefficients are computed for the first-axis rows the range touches,
     on a view boxed on each trailing axis to the range plus a one-pixel
@@ -89,7 +91,7 @@ def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> t
     full extent otherwise.  The range is then one contiguous slice of the
     raveled result, and a row-aligned range computes exactly its own rows.
     3D rows come from :func:`_slab_rows`.  The range is compacted to its
-    critical pixels, in flat order.
+    critical pixels, in flat order, then binned as the module says.
     """
     values = grid.values
     first = np.unravel_index(start, grid.dims)
@@ -103,8 +105,7 @@ def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> t
     local = [f - s.start for f, s in zip(first[1:], box)]
     offset = np.ravel_multi_index([0, *local], coeffs.shape)
     span = coeffs.ravel()[offset : offset + stop - start]
-    critical, weights = _critical_pixels(values.ravel()[start:stop], span)[1:]  # no index while binning
-    return taus.bin_indices(critical), weights
+    return taus._bin_pairs(*_critical_pixels(values.ravel()[start:stop], span)[1:])  # no index
 
 
 def compute_ecc(
@@ -118,9 +119,9 @@ def compute_ecc(
     Blocks come from :func:`_blocks` one at a time, folded by the module's
     one rule, bit-identically across strategies and worker counts.
     ``workers`` is checked, but every block runs on the calling thread: a
-    5-row 128**3 block is 90 numpy calls (a 160-row 512**2 block 41), each
-    holding the GIL, so on 2 vCPUs two workers ran at 0.51-0.94x the
-    one-worker speed (CPU/wall 1.0).
+    5-row 128**3 block is about 110 numpy calls with views (a 160-row
+    512**2 block about 60), each holding the GIL, so on 2 vCPUs two workers
+    ran at 0.51-0.94x the one-worker speed (CPU/wall 1.0).
     """
     _positive_int("workers", workers)
     n, held, pairs, hist = len(taus), [], 0, None

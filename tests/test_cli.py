@@ -61,11 +61,30 @@ class TestCompute:
         assert curve.is_integral
         assert curve.values[-1] == 1
         record = json.loads(timing.read_text())
-        assert sorted(record) == ["bins", "block_pixels", "blocks", "dims", "strategy", "wall_ms"]
+        assert sorted(record) == [
+            "bin_rounds", "bins", "block_pixels", "blocks", "dims", "strategy", "wall_ms"
+        ]
         assert record["strategy"] == "fullsweep"
         assert record["dims"] == [24, 20]
         assert record["bins"] == 32
+        assert record["bin_rounds"] == 1  # evenly spaced: keyed block histograms
         assert record["wall_ms"] > 0
+
+    def test_timing_reports_bin_rounds(self, grid_file, tmp_path):
+        # 0 for a direct search, 1 for keyed block histograms, the halving
+        # rounds of the set's table otherwise
+        out, timing, taus = tmp_path / "curve.csv", tmp_path / "t.json", tmp_path / "taus.csv"
+        clustered = np.concatenate([np.linspace(0.0, 0.4, 50), 0.5 + 1e-6 * np.arange(100)])
+        taus.write_text("threshold\n" + "\n".join(map(repr, clustered.tolist())) + "\n")
+        cases = [
+            (["--bins", "8"], 1),
+            (["--bins", "100000"], 0),  # 480 pixels: fewer than one per 64 thresholds
+            (["--taus", taus], 7),  # 100 thresholds in one bucket
+        ]
+        for option, rounds in cases:
+            assert run("compute", "--input", grid_file, *option, "--output", out,
+                       "--emit-timing", timing) == 0
+            assert json.loads(timing.read_text())["bin_rounds"] == rounds, option
 
     @pytest.mark.parametrize("dims, strategy, block_pixels, blocks", [
         ("24x20", "fullsweep", 480, 1),  # the grid fits one block

@@ -269,7 +269,10 @@ class TestSlabs:
     @pytest.mark.parametrize("chunk_len", [1, 7, 23])
     def test_chunked_halo_boxes(self, rng, chunk_len):
         # a chunk's coefficients come from a view boxed to the chunk and a
-        # one-pixel halo on each trailing axis
+        # one-pixel halo on each trailing axis; 3 evenly spaced thresholds
+        # have 14 bucket keys, so a chunk of 14 critical pixels or more is
+        # folded into a key histogram first, and any other is binned per pixel
+        folded = 0
         for dims in SLAB_DIMS:
             g = ScalarGrid(rng.integers(0, 3, dims).astype(np.float32))
             taus = ThresholdSet([0.5, 1.5, 2.5])
@@ -278,8 +281,16 @@ class TestSlabs:
                 stop = min(g.size, start + chunk_len)
                 bins, weights = _span_bins(g, taus, start, stop)
                 span = want[start:stop]
-                assert np.array_equal(weights, span[span != 0]), (dims, start)
-                assert np.array_equal(bins, taus.bin_indices(values[start:stop][span != 0]))
+                want_bins = taus.bin_indices(values[start:stop][span != 0])
+                sums = [np.bincount(b, w, minlength=4) for b, w in ((bins, weights), (want_bins, span[span != 0]))]
+                assert np.array_equal(*sums), (dims, start)
+                if np.count_nonzero(span) < 14:  # the per-pixel branch
+                    assert np.array_equal(weights, span[span != 0]), (dims, start)
+                    assert np.array_equal(bins, want_bins), (dims, start)
+                else:
+                    assert weights.dtype == np.float64 and np.all(weights) and bins.size <= 14
+                    folded += 1
+        assert (folded > 0) == (chunk_len > 14)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_curves_with_many_ties_equal_the_oracle(self, rng, dtype):

@@ -32,6 +32,33 @@ def rounds(ts, dtype):
     return ts._table(np.dtype(dtype))[4]
 
 
+def float32_edges(ts):
+    """The edges of the one-round table ``ts`` builds for float32 values, checked
+    to be its first threshold from each bucket on, rounded down to float32."""
+    t0, s, top, start, rounds, padded, edges = ts._table(np.dtype(np.float32))
+    assert rounds == 1 and edges.dtype == np.float32
+    exact = padded[start]
+    assert (edges.astype(np.float64) <= exact).all()
+    with np.errstate(over="ignore", under="ignore"):  # past FLT_MAX is +inf, past 0 subnormal
+        up = np.nextafter(edges, np.float32(np.inf)).astype(np.float64)
+    assert ((up > exact) | (edges == np.inf)).all()
+    return edges
+
+
+def assert_float32_bins_exact(ts, values):
+    """The table of ``ts`` for float32 values builds, and ``bin_indices`` on the
+    float32 ``values`` runs, with no floating-point warning, and equals float64
+    binary search; the values are repeated so that the table runs."""
+    with np.errstate(over="ignore", under="ignore"):  # probes past FLT_MAX are +-inf
+        values = np.asarray(values, dtype=np.float32)
+    values = np.resize(values, max(values.size, -(-len(ts) // 64)))
+    with np.errstate(all="raise"):
+        got = ts.bin_indices(values)
+    want = np.searchsorted(ts.taus, values.astype(np.float64), side="left")
+    assert np.array_equal(got, want), (ts, values[got != want][:5])
+    return float32_edges(ts)
+
+
 def assert_bins_exact(ts, probes):
     """``bin_indices`` equals binary search on the probes in float64 and in float32.
 
@@ -345,6 +372,60 @@ class TestThresholdSet:
                 [-np.inf, np.inf, 3.4e38, -3.4e38], rng.normal(0, 1e38, 50),
             ])
             assert_bins_exact(ts, probes)
+
+    def test_float32_edges_between_float32_neighbours(self, rng):
+        # every threshold lies strictly inside the gap between two adjacent
+        # float32 values, a random fraction of the way, and the values sit
+        # exactly on both neighbours: a float32 edge rounded to nearest
+        # instead of down would put the upper neighbour a bin early
+        f32 = np.float32
+        for lo in (f32(1.0), f32(-3e5), f32(7e-30)):
+            below = lo + np.arange(200, dtype=f32) * 4 * abs(np.spacing(lo))
+            above = np.nextafter(below, f32(np.inf))
+            taus = below + rng.uniform(0.01, 0.99, below.size) * (above - below.astype(np.float64))
+            assert ((taus > below) & (taus < above)).all()
+            ts = ThresholdSet(taus)
+            edges = assert_float32_bins_exact(ts, np.concatenate([below, above, [below[0] - 1, above[-1] + 1]]))
+            assert (edges[np.isfinite(edges)] == np.unique(below)[:, None]).any(axis=0).all()
+
+    def test_float32_edges_at_float32_thresholds(self, rng):
+        # thresholds that are float32 values are their own edges
+        f32 = np.float32
+        for lo in (f32(1.0), f32(-3e5), f32(7e-30)):
+            taus = lo + np.arange(300, dtype=f32) * 3 * abs(np.spacing(lo))
+            ts = ThresholdSet(taus)
+            edges = assert_float32_bins_exact(ts, np.concatenate(
+                [taus, np.nextafter(taus, f32(np.inf)), np.nextafter(taus, f32(-np.inf))]
+            ))
+            assert np.isin(edges[np.isfinite(edges)], taus).all()
+
+    def test_float32_edges_beyond_the_float32_range(self, rng):
+        # thresholds past +-FLT_MAX round down to FLT_MAX or to -inf, also
+        # those within half a float32 ulp of it, whose nearest float32 is
+        # FLT_MAX or an infinity
+        top, ulp = float(np.finfo(np.float32).max), 2.0**104
+        sets = [
+            [-1e39, 1e39], [-1e300, 0.0, 1e300], [-1e39, -2e38, -1e38, 0.0, 1e39],
+            [-top - ulp / 4, 0.0, top + ulp / 4], [-top - ulp * 0.75, 1.0, top + ulp * 0.75],
+        ]
+        ends = np.array([-top, np.nextafter(np.float32(-top), np.float32(0)), 0.0, top], np.float32)
+        for taus in sets:
+            ts = ThresholdSet(taus)
+            edges = assert_float32_bins_exact(ts, np.concatenate([ends, rng.normal(0, 1e38, 200)]))
+            assert edges[0] == (-np.inf if taus[0] < -top else -top)
+            assert np.max(edges[edges < np.inf]) == np.float32(top)
+
+    def test_float32_edges_on_the_infinite_padding(self, rng):
+        # a single threshold fills the first of three buckets: the two others
+        # have no threshold from them on, so their edge is the +inf padding
+        for tau in (0.0, 1.0 + 2.0**-30, -3.5, 7e-30, 1e39, -1e39, float(np.finfo(np.float32).max)):
+            near = np.float32(np.clip(tau, -3e38, 3e38))
+            with np.errstate(under="ignore"):  # the neighbours of 7e-30 are normal, of 0 not
+                neighbours = [np.nextafter(near, np.float32(np.inf)), np.nextafter(near, np.float32(-np.inf))]
+            edges = assert_float32_bins_exact(ThresholdSet([tau]), np.concatenate(
+                [[near, *neighbours, 0.0, 1.0, -1.0], rng.normal(near, 1.0, 20)]
+            ))
+            assert edges.size == 3 and (edges[1:] == np.inf).all()
 
     def test_float32_and_float64_values_keep_one_table_each(self, rng):
         ts = ThresholdSet(np.unique(rng.normal(0, 1, 300)))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecckit.grid
 import ecckit.hard
 from ecckit import (
     Chunked,
@@ -22,7 +23,7 @@ from ecckit import (
     uniform_thresholds,
 )
 from ecckit.coefficients import _blocks
-from ecckit.hard import _span_bins
+from ecckit.hard import _block_pixels, _span_bins
 from ecckit.soft import SoftEccParams, soft_ecc, soft_ecc_backward
 
 from conftest import random_f32_grid, random_int_grid
@@ -194,6 +195,58 @@ class TestCompaction:
         assert peak <= 1.3 * 2**20, peak / 2**20
 
 
+class TestBlockHistograms:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_histogram_and_per_pixel_blocks_in_one_call(self, rng, monkeypatch, row_blocks, dtype):
+        # blocks of 12 rows or 4096-pixel chunks: random rows [0, 12) give
+        # blocks of more critical pixels than the 2(2T + 1) bucket keys of
+        # T = 7 or 256 evenly spaced thresholds, which are folded into key
+        # histograms; a plateau in rows [12, 36), with three dips in rows
+        # [24, 36), gives blocks of fewer, binned per pixel, as is every
+        # chunk of 1 or 7 pixels
+        row_blocks(12)
+        binned, folded = [], []
+        bin_pairs, bincount = ThresholdSet._bin_pairs, np.bincount
+
+        def spy_pairs(self, v, weights=None):
+            binned.append(weights is not None)
+            return bin_pairs(self, v, weights)
+
+        class SpyingNumpy:  # numpy, with the bincount that folds keys spied on
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def bincount(keys, weights=None, minlength=0):
+                folded.append(keys.size)
+                return bincount(keys, weights, minlength)
+
+        for dims in ((36, 16, 16), (36, 256)):
+            vals = np.full(dims, 0.5)
+            vals[:12] = rng.random((12, *dims[1:]))
+            vals[24:].flat[rng.integers(0, vals[24:].size, 3)] = rng.random(3) * 0.4
+            g = ScalarGrid(vals.astype(dtype))
+            for taus in (uniform_thresholds(g, 7), uniform_thresholds(g, 256)):
+                want = dense_reference(g, taus)
+                compute_ecc(g, taus)  # builds the set's bucket table first
+                assert taus._tables[g.values.dtype][4] == 1  # one round: keys
+                keys = 2 * (2 * len(taus) + 1)
+                for strategy in (FullSweep(), Chunked(1), Chunked(7), Chunked(4096)):
+                    with monkeypatch.context() as m:
+                        m.setattr(ThresholdSet, "_bin_pairs", spy_pairs)
+                        m.setattr(ecckit.grid, "np", SpyingNumpy())
+                        binned.clear()
+                        folded.clear()
+                        got = compute_ecc(g, taus, strategy).values
+                    assert got.tobytes() == want.tobytes(), (dims, len(taus), strategy)
+                    assert all(binned) and len(binned) == -(-g.size // _block_pixels(g, strategy))
+                    assert all(size >= keys for size in folded)
+                    if strategy in (FullSweep(), Chunked(4096)):
+                        assert 0 < len(folded) < len(binned), (dims, len(taus), strategy)
+                    else:
+                        assert not folded, (dims, len(taus), strategy)
+
+
 class TestStepAssembly:
     def test_a_million_uneven_thresholds(self, rng, row_blocks):
         # blocks of 218 rows, three of them, each with fewer pixels than
@@ -211,11 +264,15 @@ class TestStepAssembly:
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
 
     def test_sparse_pairs_and_dense_counts_both_run(self, rng, monkeypatch, row_blocks):
-        # blocks of 256 rows or 16-row chunks: rows [0, 300) are a plateau
-        # with one dip, fewer critical pixels than thresholds; rows [300, 400)
-        # are random in 40 columns, fewer per chunk but more over three
-        # chunks; rows [400, 512) are random, more per chunk
-        row_blocks(256)
+        # blocks of 64 rows or 16-row chunks against n = 1001 evenly spaced
+        # thresholds (a one-round table): rows [0, 300) are a plateau with one
+        # dip, fewer critical pixels than thresholds; rows [300, 400) are
+        # random in 40 columns, fewer per chunk but more over three chunks,
+        # and more than n but fewer than the 4n + 2 bucket keys in rows
+        # [320, 384), a pair per critical pixel; rows [400, 512) are random,
+        # so each 16-row chunk gives more than n pairs, and each 64-row block
+        # a block-local key histogram of fewer than n nonzero keys
+        row_blocks(64)
         vals = np.full((512, 256), 4.5)
         vals[100, 100] = 3.0
         vals[300:400, :40] = rng.integers(0, 1000, (100, 40))
@@ -233,6 +290,7 @@ class TestStepAssembly:
         def spy(*args):
             pair = span_bins(*args)
             events.append(("block", pair[0].size))
+            folded.append(pair[1].dtype == np.float64)  # key sums, not int8 coefficients
             return pair
 
         class CountingNumpy:
@@ -251,11 +309,14 @@ class TestStepAssembly:
 
         monkeypatch.setattr(ecckit.hard, "_span_bins", spy)
         monkeypatch.setattr(ecckit.hard, "np", CountingNumpy())
+        folded = []
         for strategy in (FullSweep(), Chunked(4096)):
             for workers in (1, 2, 8):
                 events.clear()
+                folded.clear()
                 got = compute_ecc(g, taus, strategy, workers).values
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
+                assert any(folded) == isinstance(strategy, FullSweep) and not all(folded), strategy
                 # one histogram of n + 1 bins, made before the first count
                 assert [e for e in events if e[0] == "histogram"] == [("histogram", n + 1)]
                 assert events.index(("histogram", n + 1)) < [e[0] for e in events].index("count")
