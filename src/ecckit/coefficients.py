@@ -32,20 +32,16 @@ v[k], less those in m[k - 1] and m[k] where it holds the maximum (on a tie,
 the upper slice does).  Down to one axis, slices are lines: along a line a,
 with cmp[j] = a[j] <= a[j + 1] (on a tie a[j + 1] owns the edge),
 c(j) = cmp[j] - cmp[j - 1], padded with 1 after the line and 0 before it.
-A slab maximum's lines compare maxima over the slab's corners.  The axis
-order sets the tie order; every curve is the same under either:
-
-    ===================  ===========  ==========================================
-    slabs over           lines along  ties broken by
-    ===================  ===========  ==========================================
-    axes d - 1, ..., 1   axis 0       row-major index (``compute_coefficients``)
-    axis 0, then axis 2  axis 1       axis 0 least significant (``_slab_rows``)
-    ===================  ===========  ==========================================
+A slab maximum's lines compare maxima over the slab's corners.  Slabs run
+over axes d - 1, ..., 1 and lines along axis 0, so ties are broken by the
+row-major linear index, as above, on the exact and soft paths alike.
 
 Coefficients are computed per block of first-axis rows, in :func:`_blocks`,
 reading the block and a one-row halo in place as one flat array: a compare
-is of two shifted slices of it, and maxima over corners are taken in chunks
-of :data:`_CHUNK` pixels, so no slab maximum but a 3D block's planes is held.
+is of two shifted slices of it.  Each slab maximum above the innermost slab
+level (in 3D, over last-axis neighbors) is built once, as one flat array,
+and its inner slabs read in place; the innermost slabs' maxima are taken in
+chunks of :data:`_CHUNK` pixels, so no other copy of the values is held.
 """
 
 from __future__ import annotations
@@ -83,67 +79,64 @@ class CoefficientGrid:
         return self.coeffs.shape
 
 
-#: Flat pixels per compare of a slab maximum: the maximum over a chunk's
-#: corners is the only copy of the values made, and stays cache-sized.
+#: Flat pixels per compare of an innermost slab maximum: its maximum over a
+#: chunk's corners stays cache-sized.
 _CHUNK = 32_768
 
 
-def _leq(flat: np.ndarray, shifts: tuple[int, ...], j0: int, j1: int, s: int, out: np.ndarray):
+def _leq(flat: np.ndarray, shift: int, j0: int, j1: int, s: int, out: np.ndarray):
     """``out[j - j0] = g[j] <= g[j + s]`` for j in [j0, j1), with ``g[j]`` the
-    maximum of ``flat`` over the corners ``j + (any sum of shifts)``."""
-    step = _CHUNK if shifts else max(j1 - j0, 1)  # no maximum, no copy
+    maximum of ``flat`` over the corners ``j`` and ``j + shift`` (0: ``flat[j]``)."""
+    step = _CHUNK if shift else max(j1 - j0, 1)  # no maximum, no copy
     for c0 in range(j0, j1, step):
         c1 = min(j1, c0 + step)
-        g = flat[c0 : c1 + s + sum(shifts)]
-        for t in shifts:
-            g = np.maximum(g[:-t], g[t:])
+        g = flat[c0 : c1 + s + shift]
+        if shift:
+            g = np.maximum(g[:-shift], g[shift:])
         np.less_equal(g[: c1 - c0], g[s : s + c1 - c0], out=out[c0 - j0 : c1 - j0])
     return out
 
 
-def _lines(flat, i0: int, shape: tuple[int, ...], axis: int, slabs, shifts=()) -> np.ndarray:
-    """Coefficients (int8) of the ``shape`` pixels from ``flat[i0]`` on, of the
-    maximum over the corners ``shifts``, slabbed over the axes ``slabs``
-    (least significant first) with lines along ``axis``.
+def _lines(flat, i0: int, shape: tuple[int, ...], slabs, shift: int = 0) -> np.ndarray:
+    """Coefficients (int8) of the ``shape`` pixels from ``flat[i0]`` on,
+    slabbed over the axes ``slabs`` (least significant first) with lines
+    along the first axis; past the last slab, of the maximum over the
+    corners ``0`` and ``shift``.
 
-    A line's ``cmp`` spans the block and the line before it: False before
-    the flat rows, True past them and, along a trailing axis, True at each
-    line's end, whose 1 before the next line is given back to its first
-    pixel.  So any row range gives the whole-grid coefficients.  Corners
-    past the flat rows lie on a slab's last slice, where it is zeroed.
+    A line's ``cmp`` spans the block and the row before it: False before the
+    flat rows and True past them, so any row range gives the whole-grid
+    coefficients.  Corners past the flat rows lie on a slab's last slice,
+    where it is zeroed.
     """
     m = math.prod(shape)
     if slabs:
         a, *inner = slabs
         s = math.prod(shape[a + 1 :])
-        coeffs = _lines(flat, i0, shape, axis, inner, shifts)
-        maxed = _lines(flat, i0, shape, axis, inner, (*shifts, s))
+        if inner:  # the slab maximum, built once and freed before this level's coefficients
+            maxed = _lines(np.maximum(flat[:-s], flat[s:]), i0, shape, inner)
+        else:
+            maxed = _lines(flat, i0, shape, inner, s)
         maxed.reshape(shape)[(slice(None),) * a + (-1,)] = 0  # no slice past the last
-        j1 = max(i0, min(i0 + m, flat.size - s - sum(shifts)))
-        return _attribute(coeffs, maxed, _leq(flat, shifts, i0, j1, s, np.empty(m, dtype=bool)), s)
-    s = math.prod(shape[axis + 1 :])
+        coeffs = _lines(flat, i0, shape, inner)
+        j1 = max(i0, min(i0 + m, flat.size - s))
+        return _attribute(coeffs, maxed, _leq(flat, 0, i0, j1, s, np.empty(m, dtype=bool)), s)
+    s = math.prod(shape[1:])
     cmp = np.empty(m + s, dtype=bool)  # cmp[j]: pixel i0 - s + j against the next one
     head = max(0, s - i0)
-    tail = min(m + s, max(head, flat.size - sum(shifts) - i0))
-    _leq(flat, shifts, i0 - s + head, i0 - s + tail, s, cmp[head:tail])
+    tail = min(m + s, max(head, flat.size - shift - i0))
+    _leq(flat, shift, i0 - s + head, i0 - s + tail, s, cmp[head:tail])
     cmp[:head], cmp[tail:] = False, True
-    if axis:  # a flat neighbor past a line's end wraps into the next line
-        cmp.reshape(-1, s)[:: shape[axis]] = True  # head: none, or the line before
-    coeffs = np.subtract(cmp[s:].view(np.int8), cmp[:m].view(np.int8))
-    if axis:
-        coeffs.reshape(shape)[(slice(None),) * axis + (0,)] += 1
-    return coeffs
+    return np.subtract(cmp[s:].view(np.int8), cmp[:m].view(np.int8))
 
 
-def _attribute(coeffs, maxed, up, s: int, d: int = 0) -> np.ndarray:
-    """``coeffs`` less the slab maxima's coefficients ``maxed``, ``coeffs[i]``
-    lying at ``maxed[i + d]``: each is held by the slice holding the maximum,
-    the upper one (``s`` on) where ``up``, which holds on a tie."""
+def _attribute(coeffs, maxed, up, s: int) -> np.ndarray:
+    """``coeffs`` less the slab maxima's coefficients ``maxed``: each is held by
+    the slice holding the maximum, the upper one (``s`` on) where ``up``,
+    which holds on a tie."""
     lifted = np.multiply(maxed, up.view(np.int8), out=up.view(np.int8))
     maxed -= lifted
-    held = coeffs[: maxed.size - d]
-    held -= maxed[d : d + held.size]
-    above = coeffs[s - d : s - d + lifted.size]  # a slice past the rows is left out
+    coeffs -= maxed
+    above = coeffs[s:]  # a slice past the rows is left out
     above -= lifted[: above.size]
     return coeffs
 
@@ -155,20 +148,7 @@ def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
     lo = max(0, r0 - 1)
     flat = values[lo : r1 + 1].reshape(-1)
     shape = (r1 - r0, *rest)
-    return _lines(flat, (r0 - lo) * math.prod(rest), shape, 0, range(len(rest), 0, -1)).reshape(shape)
-
-
-def _slab_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """3D coefficients (int8) for first-axis rows [r0, r1) from plane slabs,
-    ties broken with the first axis least significant."""
-    n, *rest = values.shape
-    plane = math.prod(rest)
-    k0, k1 = max(r0 - 1, 0), min(r1, n - 1)
-    flat = values[k0 : r1 + 1].reshape(-1)
-    maxed = _lines(np.maximum(flat[:-plane], flat[plane:]), 0, (k1 - k0, *rest), 1, (2,))
-    up = _leq(flat, (), 0, maxed.size, plane, np.empty(maxed.size, dtype=bool))
-    coeffs = _lines(flat, (r0 - k0) * plane, (r1 - r0, *rest), 1, (2,))
-    return _attribute(coeffs, maxed, up, plane, (r0 - k0) * plane).reshape(r1 - r0, *rest)
+    return _lines(flat, (r0 - lo) * math.prod(rest), shape, range(len(rest), 0, -1)).reshape(shape)
 
 
 def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
@@ -183,9 +163,9 @@ def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
 
 
 #: Bytes per pixel of one exact-path block, above both peaks (tracemalloc):
-#: the kernel's (2D: 4, float64 5; 3D: 8 row-major and 9 in slabs, float64 13
-#: and 15) and compaction and binning's (about 22 per critical pixel, 26 on
-#: float64 grids, so 13-16 per pixel on uniform-random grids, ~60% critical).
+#: the kernel's (2D: 3, float64 4; 3D: 9, float64 17) and compaction and
+#: binning's (about 22 per critical pixel, 26 on float64 grids, so 13-16 per
+#: pixel on uniform-random grids, ~60% critical).
 #: 7- and 10-row 128**3 blocks were no faster and raised the op peak 0.44/1.1 MiB.
 _PIXEL_BYTES = 23.4
 
@@ -202,7 +182,7 @@ def _row_block(dims: tuple[int, ...], budget: float = _BLOCK_BYTES) -> int:
     the budget bounds the memory it takes.  A row larger than the budget
     makes blocks of one row."""
     row = math.prod(dims[1:]) * _PIXEL_BYTES
-    return int(np.clip(budget // row, 1, dims[0]))
+    return max(1, min(int(budget // row), dims[0]))
 
 
 def _blocks(fn, n: int, step: int):

@@ -7,13 +7,12 @@ curve, the prefix sum of the bins, changes only where they fall.
 
 Both strategies walk the flat pixel range in blocks, on the calling
 thread, through one span primitive, :func:`_span_bins`: the coefficients
-of the rows a block touches, computed on a view boxed to the block and a
-one-pixel halo, reading its halo rows, are compacted to the block's
-critical pixels and binned into ``(bins, weights)`` pairs, one per pixel
-or, from 2(2T + 1) pixels on in one round, T the thresholds, one per
-nonzero key of a block's key histogram (:meth:`ThresholdSet._bin_pairs`).  3D
-coefficients come from plane slabs (:func:`_slab_rows`), ties broken with
-the first axis least significant, which leaves every curve unchanged.
+of the rows a block touches, computed by :func:`compute_coefficients`' own
+kernel on a view boxed to the block and a one-pixel halo, reading its halo
+rows, are compacted to the block's critical pixels and binned into
+``(bins, weights)`` pairs, one per pixel or, from 2(2T + 1) pixels on in
+one round, T the thresholds, one per nonzero key of a block's key
+histogram (:meth:`ThresholdSet._bin_pairs`).
 :func:`compute_ecc` folds blocks as they come, by one rule: held pairs
 (concatenated once more than 64 are held) that number T or more are added
 to one float64 histogram of T + 1 bins and dropped before the next block is
@@ -36,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import _blocks, _coefficient_rows, _critical_pixels, _row_block, _slab_rows
+from .coefficients import _blocks, _coefficient_rows, _critical_pixels, _row_block
 from .grid import EulerCurve, ScalarGrid, ThresholdSet, _positive_int
 
 
@@ -89,9 +88,9 @@ def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> t
     on a view boxed on each trailing axis to the range plus a one-pixel
     halo when the range keeps every earlier coordinate fixed, and to the
     full extent otherwise.  The range is then one contiguous slice of the
-    raveled result, and a row-aligned range computes exactly its own rows.
-    3D rows come from :func:`_slab_rows`.  The range is compacted to its
-    critical pixels, in flat order, then binned as the module says.
+    raveled result, and a row-aligned range computes exactly its own rows,
+    the pixels' :func:`compute_coefficients` values.  The range is compacted
+    to its critical pixels, in flat order, then binned as the module says.
     """
     values = grid.values
     first = np.unravel_index(start, grid.dims)
@@ -100,8 +99,7 @@ def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> t
         slice(max(0, first[a] - 1), last[a] + 2) if first[:a] == last[:a] else slice(0, None)
         for a in range(1, grid.ndim)
     ]
-    rows = _slab_rows if grid.ndim == 3 else _coefficient_rows
-    coeffs = rows(values[(slice(None), *box)], first[0], last[0] + 1)
+    coeffs = _coefficient_rows(values[(slice(None), *box)], first[0], last[0] + 1)
     local = [f - s.start for f, s in zip(first[1:], box)]
     offset = np.ravel_multi_index([0, *local], coeffs.shape)
     span = coeffs.ravel()[offset : offset + stop - start]

@@ -29,7 +29,6 @@ from ecckit.coefficients import (
     _coefficient_rows,
     _critical_pixels,
     _row_block,
-    _slab_rows,
 )
 from ecckit.hard import _span_bins
 
@@ -229,43 +228,11 @@ class TestOwnershipReference:
                         assert np.array_equal(got, want[r0:r1]), (dims, chunk, r0, r1)
 
 
-def moved_axis_coefficients(values):
-    """Coefficients under ties broken with the first axis least significant:
-    those of the grid with its first axis moved last, moved back."""
-    moved = compute_coefficients(ScalarGrid(np.moveaxis(values, 0, -1))).coeffs
-    return np.moveaxis(moved, -1, 0)
-
-
 # 3D shapes with an extent of 1 on each axis, and taller ones
 SLAB_DIMS = [d for d in THIN_DIMS if len(d) == 3] + [(6, 5, 7), (8, 3, 4), (7, 4, 1)]
 
 
 class TestSlabs:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_every_row_range_equals_moved_axis_coefficients(self, rng, monkeypatch, dtype):
-        # integer values with many ties; every row range covers every block
-        # height, each block at the grid's edges and in its middle
-        for dims in SLAB_DIMS:
-            for _ in range(3):
-                values = rng.integers(0, 3, dims).astype(dtype)
-                want = moved_axis_coefficients(values)
-                for chunk in CHUNKS:
-                    monkeypatch.setattr(ecckit.coefficients, "_CHUNK", chunk)
-                    for r0 in range(dims[0]):
-                        for r1 in range(r0 + 1, dims[0] + 1):
-                            got = _slab_rows(values, r0, r1)
-                            assert got.dtype == np.int8 and got.flags.c_contiguous
-                            assert np.array_equal(got, want[r0:r1]), (dims, chunk, r0, r1)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_distinct_values_give_the_row_major_coefficients(self, rng, dtype):
-        for dims in SLAB_DIMS:
-            values = rng.permutation(math.prod(dims)).reshape(dims).astype(dtype)
-            want = compute_coefficients(ScalarGrid(values)).coeffs
-            for r0 in range(dims[0]):
-                for r1 in range(r0 + 1, dims[0] + 1):
-                    assert np.array_equal(_slab_rows(values, r0, r1), want[r0:r1]), (dims, r0, r1)
-
     @pytest.mark.parametrize("chunk_len", [1, 7, 23])
     def test_chunked_halo_boxes(self, rng, chunk_len):
         # a chunk's coefficients come from a view boxed to the chunk and a
@@ -276,7 +243,7 @@ class TestSlabs:
         for dims in SLAB_DIMS:
             g = ScalarGrid(rng.integers(0, 3, dims).astype(np.float32))
             taus = ThresholdSet([0.5, 1.5, 2.5])
-            want, values = moved_axis_coefficients(g.values).ravel(), g.values.ravel()
+            want, values = compute_coefficients(g).coeffs.ravel(), g.values.ravel()
             for start in range(0, g.size, chunk_len):
                 stop = min(g.size, start + chunk_len)
                 bins, weights = _span_bins(g, taus, start, stop)
@@ -340,6 +307,35 @@ class TestPaddedBuffer:
         assert all(cmp.dtype == bool for cmp in poisoned.handed)  # no float copy of the grid
 
 
+class _CountedMaxima:
+    """numpy, save that ``maximum`` counts its calls in ``calls``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, *args, **kwargs):
+        self.calls += 1
+        return np.maximum(*args, **kwargs)
+
+
+class TestSlabMaxima:
+    # with one chunk per compare, a 3D block builds its 3 distinct maxima, over
+    # the corners {0, 1}, {0, line} and {0, 1, line, line + 1}, each once, and
+    # a 2D block its one, over {0, 1}
+    @pytest.mark.parametrize("dims, calls", [((6, 5, 7), 3), ((6, 35), 1)])
+    def test_each_slab_maximum_is_built_once(self, rng, monkeypatch, dims, calls):
+        values = rng.random(dims)
+        monkeypatch.setattr(ecckit.coefficients, "_CHUNK", values.size)
+        spy = _CountedMaxima()
+        monkeypatch.setattr(ecckit.coefficients, "np", spy)
+        got = _coefficient_rows(values, 2, 4)
+        assert spy.calls == calls
+        assert np.array_equal(got, ownership_coefficients(values)[2:4])
+
+
 class TestCriticalPixels:
     @pytest.mark.parametrize("nd", [2, 3])
     def test_equals_flatnonzero(self, rng, nd):
@@ -380,9 +376,10 @@ class TestMemory:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_single_block_peak_per_pixel(self, rng, dtype):
         # the int8 coefficients and bool compares held at once, and a chunk of
-        # corner maxima in the values' dtype, set the peak: 4.0 bytes per
-        # pixel in 2D (6.1 on float64) and 7.6 in 3D (12.1 on float64); a
-        # copy of a float64 grid (8 bytes per pixel) would exceed the 2D bound
+        # corner maxima in the values' dtype, set the peak, with the outer slab
+        # maximum in 3D: 3.0 bytes per pixel in 2D (5.1 on float64) and 7.3 in
+        # 3D (13.6 on float64); a copy of a float64 grid (8 bytes per pixel)
+        # would exceed the 2D bound
         for dims, bound in [((256, 256), 7.5), ((16, 64, 64), 21)]:
             g = ScalarGrid(rng.random(dims).astype(dtype))
             assert _row_block(g.dims) == g.dims[0]  # one block
@@ -396,9 +393,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_3d_block_peak_per_pixel(self, rng, dtype):
-        # no plane of slab maxima is held, only a chunk of them: a one-block
-        # 3D call peaks at 7.6 bytes per pixel (12.1 on float64), and a kernel
-        # holding a bool mask per cell relation (19.4) would exceed the bound
+        # only the outer slab maximum is held whole, the inner ones a chunk at
+        # a time: a one-block 3D call peaks at 7.3 bytes per pixel (13.6 on
+        # float64), and a kernel holding a bool mask per cell relation (19.4)
+        # would exceed the bound
         g = ScalarGrid(rng.random((16, 64, 64)).astype(dtype))
         assert _row_block(g.dims) == g.dims[0]  # one block
         tracemalloc.start()
@@ -411,7 +409,8 @@ class TestMemory:
 
     def test_interior_block_peak_per_pixel(self, rng):
         # a block of the default height between two others, which reads a halo
-        # row on each side and widens its row-crossing compares by a row
+        # row on each side and widens its row-crossing compares by a row: 9.2
+        # bytes per pixel
         values = rng.random((12, 128, 128)).astype(np.float32)
         height = _row_block(values.shape)
         assert height == 5
@@ -447,9 +446,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("dtype, bound", [(np.float32, 18), (np.float64, 20.1)])
     def test_slab_block_peak_per_pixel(self, rng, dtype, bound):
-        # a default-height interior 3D block through the slab kernel, which
-        # copies only a chunk of its corner maxima, compaction and binning:
-        # 15.1 bytes per pixel on float32 and 16.6 on float64, set by binning
+        # a default-height interior 3D block through the kernel, compaction and
+        # binning: 14.3 bytes per pixel on float32, set by binning, and 17.2 on
+        # float64, set by the kernel's outer slab maximum and a chunk of corner
+        # maxima
         g = ScalarGrid(rng.random((12, 128, 128)).astype(dtype))
         row = g.size // g.dims[0]
         start, stop = 5 * row, (5 + _row_block(g.dims)) * row

@@ -1,5 +1,6 @@
 """Histogram accumulation: strategies, the block loop and oracle equivalence."""
 
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -15,14 +16,17 @@ from ecckit import (
     Chunked,
     FullSweep,
     ScalarGrid,
+    SyntheticSpec,
     ThresholdSet,
     compute_coefficients,
     compute_ecc,
+    curve_checksum,
+    generate_grid,
     oracle_ecc,
     parse_strategy,
     uniform_thresholds,
 )
-from ecckit.coefficients import _blocks
+from ecckit.coefficients import _blocks, _row_block
 from ecckit.hard import _block_pixels, _span_bins
 from ecckit.soft import SoftEccParams, soft_ecc, soft_ecc_backward
 
@@ -469,11 +473,7 @@ class TestSpanCounts:
             g = random_int_grid(rng, 2 + trial % 2, 6, hi=3)
             taus = uniform_thresholds(g, 5)
             values = g.values.ravel()
-            coeffs = compute_coefficients(g).coeffs
-            if g.ndim == 3:  # 3D blocks break ties with the first axis least significant
-                moved = compute_coefficients(ScalarGrid(np.moveaxis(g.values, 0, -1))).coeffs
-                coeffs = np.moveaxis(moved, -1, 0)
-            coeffs = coeffs.ravel()
+            coeffs = compute_coefficients(g).coeffs.ravel()
             n, line, plane = g.size, g.dims[-1], g.size // g.dims[0]
             spans = [(0, n)]
             for _ in range(4):
@@ -493,6 +493,31 @@ class TestSpanCounts:
                 want = dense_counts([(bins, coeffs[start:stop])], taus)
                 got = dense_counts([_span_bins(g, taus, start, stop)], taus)
                 assert got.tobytes() == want.tobytes(), (g.dims, start, stop)
+
+
+#: sha256 of :class:`TestPinnedCurves`' curve checksums: a change to the
+#: coefficient kernel, binning or fold must leave every exact curve
+#: bit-identical, so only a change of the curves' checksum format moves it.
+PINNED_CURVES = "2f3a25f1934891eda1257a1650d6bcee371d5c6a6c955cdd8e9d4a84e27a5def"
+
+
+class TestPinnedCurves:
+    def test_curves_are_bit_identical_to_the_pinned_digest(self):
+        # uniform-random and tie-heavy grids, 2D and 3D, each spanning 3 FullSweep
+        # blocks; float64 values no float32 holds.  No gaussian blobs: their exp
+        # can differ by an ulp between libm builds.
+        digest = hashlib.sha256()
+        for dims in [(400, 512), (20, 96, 96)]:
+            assert _row_block(dims) < dims[0] / 2
+            base = generate_grid(SyntheticSpec("uniform-random", dims, seed=29)).values
+            for v in (base, np.floor(8 * base)):
+                for values in (v, v.astype(np.float64) * np.pi - 0.1):
+                    g = ScalarGrid(values)
+                    for taus in (uniform_thresholds(g, 7), uniform_thresholds(g, 256),
+                                 ThresholdSet(np.unique(values))):
+                        for strategy in (FullSweep(), Chunked(4096)):
+                            digest.update(curve_checksum(compute_ecc(g, taus, strategy)).encode())
+        assert digest.hexdigest() == PINNED_CURVES
 
 
 class TestValidation:
