@@ -164,9 +164,9 @@ def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
 
 #: Bytes per pixel of one exact-path block, above both peaks (tracemalloc):
 #: the kernel's (2D: 3, float64 4; 3D: 9, float64 17) and compaction and
-#: binning's (about 22 per critical pixel, 26 on float64 grids, so 13-16 per
-#: pixel on uniform-random grids, ~60% critical).
-#: 7- and 10-row 128**3 blocks were no faster and raised the op peak 0.44/1.1 MiB.
+#: binning's (about 18 per critical pixel, 26 on float64 grids, so 10.5-15 per
+#: pixel on uniform-random grids, ~60% critical; float64 3D peaks in the kernel).
+#: 7/10-row 128**3 blocks were no faster and (binning at 14.3) raised the op peak 0.44/1.1 MiB.
 _PIXEL_BYTES = 23.4
 
 #: Bytes one block may take: what a 65,536-pixel 3D block took when the

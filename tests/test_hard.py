@@ -155,6 +155,7 @@ class TestCompaction:
         # blocks of 256 rows: rows [0, 300) are constant, so
         # their coefficients vanish; the random rows are ~60% critical.
         # Every block, of either kind, is compacted to its critical pixels
+        # by the lookup, which returns no zero weight
         row_blocks(256)
         vals = np.full((512, 256), 4.5)
         vals[300:] = rng.integers(0, 10, (212, 256))
@@ -162,26 +163,28 @@ class TestCompaction:
         taus = ThresholdSet(np.unique(vals))
         want = oracle_ecc(g, taus).values
 
-        blocks, compacted = [], []
-        span_bins, critical = ecckit.hard._span_bins, ecckit.hard._critical_pixels
+        blocks, returned = [], []
+        span_bins, bin_pairs = ecckit.hard._span_bins, ThresholdSet._bin_pairs
 
         def counting_span_bins(*args):
             blocks.append(1)
             return span_bins(*args)
 
-        def counting_critical(*args):
-            compacted.append(1)
-            return critical(*args)
+        def spy_pairs(self, v, weights=None):
+            pair = bin_pairs(self, v, weights)
+            returned.append(pair[1])
+            return pair
 
         monkeypatch.setattr(ecckit.hard, "_span_bins", counting_span_bins)
-        monkeypatch.setattr(ecckit.hard, "_critical_pixels", counting_critical)
+        monkeypatch.setattr(ThresholdSet, "_bin_pairs", spy_pairs)
         for strategy in (FullSweep(), Chunked(4096)):
             for workers in (1, 2, 8):
                 blocks.clear()
-                compacted.clear()
+                returned.clear()
                 got = compute_ecc(g, taus, strategy, workers).values
                 assert got.tobytes() == want.tobytes(), (strategy, workers)
-                assert 0 < len(compacted) == len(blocks), (strategy, workers)
+                assert 0 < len(returned) == len(blocks), (strategy, workers)
+                assert all(w is not None and w.all() for w in returned), (strategy, workers)
 
     def test_no_flat_index_is_held_while_binning(self):
         # 1024**2 uniform-random float32, 256 thresholds: blocks of 80 rows,
