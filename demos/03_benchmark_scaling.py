@@ -1,9 +1,10 @@
 """Accumulation strategy timing study at desk scale.
 
 Compares the single-sweep strategy against the chunked baseline, which
-computes every chunk's coefficients on its own halo box and appends its
-(bin, weight) pairs to the running list.  Checksums of the resulting curves gate the timings: a
-divergence aborts the run.
+walks the same whole first-axis rows in smaller blocks, at most 4,096
+pixels or one row each, and so pays each numpy call's fixed cost more
+often.  Checksums of the resulting curves gate the timings: a divergence
+aborts the run.
 
 Run:  python demos/03_benchmark_scaling.py  (a few seconds)
 """

@@ -30,7 +30,7 @@ from .grid import (
     write_curve,
     write_grid,
 )
-from .hard import _block_pixels, compute_ecc, parse_strategy
+from .hard import _block_rows, compute_ecc, parse_strategy
 from .oracle import oracle_ecc
 from .soft import (
     SoftEccParams,
@@ -182,14 +182,14 @@ def _cmd_compute(args) -> int:
     wall_ms = (time.perf_counter() - t0) * 1e3
     write_curve(curve, args.output)
     if args.emit_timing:
-        block = _block_pixels(grid, args.strategy)
+        rows = _block_rows(grid, args.strategy)
         table = taus._tables.get(grid.values.dtype)  # none: a direct search
         payload = {
             "strategy": str(args.strategy),
             "dims": list(grid.dims),
             "bins": len(taus),
-            "block_pixels": block,
-            "blocks": -(-grid.size // block),
+            "block_pixels": rows * (grid.size // grid.dims[0]),
+            "blocks": -(-grid.dims[0] // rows),
             "bin_rounds": table[4] if table else 0,
             "wall_ms": wall_ms,
         }

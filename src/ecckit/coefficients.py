@@ -142,8 +142,8 @@ def _attribute(coeffs, maxed, up, s: int) -> np.ndarray:
 
 
 def _coefficient_rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Coefficients (int8) for first-axis rows [r0, r1), reading a one-row halo
-    in place (a copy only for a strided view, such as ``Chunked``'s halo box)."""
+    """Coefficients (int8) for first-axis rows [r0, r1) of C-contiguous ``values``,
+    reading the rows and a one-row halo in place."""
     _, *rest = values.shape
     lo = max(0, r0 - 1)
     flat = values[lo : r1 + 1].reshape(-1)
@@ -162,27 +162,20 @@ def _critical_pixels(values: np.ndarray, coeffs: np.ndarray):
     return idx, values.ravel()[idx], coeffs.ravel()[idx]
 
 
-#: Bytes per pixel of one exact-path block, above both peaks (tracemalloc):
-#: the kernel's (2D: 3, float64 4; 3D: 9, float64 17) and compaction and
-#: binning's (about 18 per critical pixel, 26 on float64 grids, so 10.5-15 per
-#: pixel on uniform-random grids, ~60% critical; float64 3D peaks in the kernel).
-#: 7/10-row 128**3 blocks were no faster and (binning at 14.3) raised the op peak 0.44/1.1 MiB.
-_PIXEL_BYTES = 23.4
-
-#: Bytes one block may take: what a 65,536-pixel 3D block took when the
-#: kernel held all 26 relation masks, so blocks grow as the kernel holds
-#: fewer and the exact path's peak does not rise.
-_BLOCK_BYTES = 1_925_000
+#: Pixels one block may hold: 1,925,000 bytes (a 65,536-pixel 3D block when the
+#: kernel held all 26 relation masks) at 23.4 bytes per pixel, above the kernel's
+#: peak (2D: 3, float64 4; 3D: 9, float64 17) and binning's (tracemalloc: about 18
+#: per critical pixel, 26 on float64, so 10.5-15 per pixel on ~60%-critical
+#: uniform-random grids).  7/10-row 128**3 blocks were no faster and raised the op peak.
+_BLOCK_PIXELS = 82_264
 
 
-def _row_block(dims: tuple[int, ...], budget: float = _BLOCK_BYTES) -> int:
-    """First-axis block height keeping one block within ``budget`` bytes.
+def _row_block(dims: tuple[int, ...], pixels: int = _BLOCK_PIXELS) -> int:
+    """First-axis block height: the most whole rows within ``pixels``, one at least.
 
     A larger block spreads each numpy call's fixed cost over more pixels;
-    the budget bounds the memory it takes.  A row larger than the budget
-    makes blocks of one row."""
-    row = math.prod(dims[1:]) * _PIXEL_BYTES
-    return max(1, min(int(budget // row), dims[0]))
+    the pixel count bounds the memory it takes."""
+    return max(1, min(pixels // math.prod(dims[1:]), dims[0]))
 
 
 def _blocks(fn, n: int, step: int):
@@ -199,7 +192,7 @@ def _blocks(fn, n: int, step: int):
 def compute_coefficients(grid: ScalarGrid) -> CoefficientGrid:
     """Euler characteristic coefficients of every pixel.
 
-    Processed in first-axis blocks sized to a byte budget; each block reads
+    Processed in first-axis blocks of :func:`_row_block` rows; each block reads
     a one-row halo and the result is identical to a whole-grid evaluation.
     """
     blocks = _blocks(partial(_coefficient_rows, grid.values), grid.dims[0], _row_block(grid.dims))

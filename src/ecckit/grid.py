@@ -103,10 +103,12 @@ class ScalarGrid:
         return f"ScalarGrid(dims={self.dims})"
 
 
-def _buckets(x, t0, s, top: int) -> np.ndarray:
-    """``clip(floor((x - t0) * s), 0, top)`` in the dtype of ``x``: with ``s > 0``
-    each step is monotone, so the bucket never decreases as ``x`` grows."""
-    with np.errstate(over="ignore"):  # an overflow lands on +-inf, clipped to an end
+def _buckets(x, t0, s, top: int, halve: bool = False) -> np.ndarray:
+    """``clip(floor((x - t0) * s), 0, top)`` in the dtype of ``x``, or with ``x / 2 - t0 / 2``
+    if ``halve``, as for a span that overflows it: with ``s > 0`` each step is
+    monotone, so the bucket never decreases as ``x`` grows."""
+    with np.errstate(over="ignore", under="ignore"):  # +-inf is clipped to an end, 0 kept
+        x, t0 = (x / 2, t0 / 2) if halve else (x, t0)
         pos = np.subtract(x, t0, out=np.empty_like(x))  # an array even for a scalar x
         pos *= s
     np.clip(pos, 0, top, out=pos)
@@ -155,17 +157,20 @@ class ThresholdSet:
         return f"ThresholdSet(n={len(self)}, lo={self.taus[0]}, hi={self.taus[-1]})"
 
     def _table(self, dtype: np.dtype):
-        """``(t0, s, top, start, rounds, padded, edges)`` for values of ``dtype``, cached:
-        ``start[k]`` counts the thresholds in buckets below ``k``, ``padded`` is the
-        thresholds followed by enough +inf that no round reads past it, and ``edges``
-        (one round only, else None) is ``padded[start]`` rounded down to ``dtype``."""
+        """``(t0, s, top, start, rounds, padded, edges, halve)`` for values of ``dtype``,
+        cached: ``start[k]`` counts the thresholds in buckets below ``k``, ``padded`` is
+        the thresholds followed by enough +inf that no round reads past it, ``edges``
+        (one round only, else None) is ``padded[start]`` rounded down to ``dtype``, and
+        ``halve`` tells :func:`_buckets` that the span overflows ``dtype``."""
         n, big = len(self), np.finfo(dtype).max
         t0, hi = np.clip(self.taus[[0, -1]], -big, big).astype(dtype)
         half_span = float(hi) / 2 - float(t0) / 2  # finite where the span itself overflows
+        halve = half_span > float(big) / 2  # hi - t0 overflows
+        span = half_span if halve else 2 * half_span  # hi - t0, halved if halve
         top = int(dtype.type(2 * n))  # the bucket count, representable in dtype
-        s = dtype.type(min(top / 2 / half_span, float(big)) if half_span > 0 else 1.0)
+        s = dtype.type(min(top / span, float(big)) if span > 0 else 1.0)
         taus = np.clip(self.taus, -big, big).astype(dtype, copy=False)
-        counts = np.bincount(_buckets(taus, t0, s, top), minlength=top + 1)
+        counts = np.bincount(_buckets(taus, t0, s, top, halve), minlength=top + 1)
         rounds = int(counts.max()).bit_length()
         start = np.zeros(top + 1, np.int32 if n < 1 << 31 else np.intp)
         start[1:] = np.cumsum(counts[:-1], out=counts[:-1])  # in place: no int64 copy
@@ -175,7 +180,7 @@ class ThresholdSet:
             with np.errstate(over="ignore", under="ignore"):  # to +-inf, 0 or a subnormal
                 near = edges.astype(dtype)
                 edges = np.where(near > edges, np.nextafter(near, -np.inf), near)
-        table = self._tables[dtype] = t0, s, top, start, rounds, padded, edges
+        table = self._tables[dtype] = t0, s, top, start, rounds, padded, edges, halve
         return table
 
     def _bin_pairs(self, v: np.ndarray, weights=None) -> tuple:
@@ -188,8 +193,8 @@ class ThresholdSet:
             del keep
         if 64 * v.size < len(self):  # too few values to pay for a table
             return np.searchsorted(self.taus, v, side="left"), weights
-        t0, s, top, start, rounds, padded, edges = self._tables.get(v.dtype) or self._table(v.dtype)
-        idx = _buckets(v, t0, s, top)
+        t0, s, top, start, rounds, padded, edges, halve = self._tables.get(v.dtype) or self._table(v.dtype)
+        idx = _buckets(v, t0, s, top, halve)
         if edges is not None:  # one round: the key 2 * bucket + (v > edge) settles the bin
             hit = v > edges.take(idx)  # in the values' dtype: no float64 copy
             idx <<= 1

@@ -5,10 +5,10 @@ covering its value, with one overflow bin past the last threshold.  Only
 critical pixels, those with a nonzero coefficient, change a bin, and the
 curve, the prefix sum of the bins, changes only where they fall.
 
-Both strategies walk the flat pixel range in blocks, on the calling
-thread, through one span primitive, :func:`_span_bins`: the coefficients of
-the rows a block touches, by :func:`compute_coefficients`' kernel on a view
-boxed to the block and a one-pixel halo, and the block's values go to
+Both strategies walk the grid in blocks of whole first-axis rows, on the
+calling thread, through one span primitive, :func:`_span_bins`: the rows'
+coefficients, by :func:`compute_coefficients`' kernel reading the rows and a
+one-row halo in place, and the rows' values go to
 :meth:`ThresholdSet._bin_pairs`.  It compacts them to the critical pixels and
 bins them into ``(bins, weights)`` pairs, one per pixel or, from 2(2T + 1)
 pixels on in one round, T the thresholds, one per nonzero key of a block's
@@ -21,12 +21,13 @@ per distinct bin, each int64 partial sum repeated up to the next bin;
 otherwise the rest join the histogram and it is prefix summed.  The
 overflow bin drops; memory is O(T + block).  Weights and sums are integers
 far below 2**53, hence exact and bit-identical across strategies and worker
-counts.  The strategies differ only in block size:
+counts.  The strategies differ only in block size, the most whole rows
+within a pixel count, one row at least (:func:`_row_block`):
 
-* ``FullSweep``: runs of first-axis rows, as many as fit a block's byte
-  budget (:func:`_row_block`): 5 rows at 128**3, 160 at 512**2.
-* ``Chunked``: a deliberately overhead-faithful baseline that walks fixed
-  length chunks of the flat pixel range, each chunk on its own halo box.
+* ``FullSweep``: 82,264 pixels, which keeps a block within its byte budget:
+  5 rows at 128**3, 160 at 512**2.
+* ``Chunked(k)``: ``k`` pixels, a deliberately overhead-faithful baseline
+  whose small blocks pay each numpy call's fixed cost more often.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ class FullSweep:
 
 @dataclass(frozen=True)
 class Chunked:
-    """Sequential fixed-size chunks, each on its own halo box."""
+    """Sequential blocks of the most whole rows within ``chunk_len`` pixels, one at least."""
 
     chunk_len: int
 
@@ -72,42 +73,22 @@ def parse_strategy(text: str) -> Strategy:
     raise ValueError(f"unknown strategy {text!r}; expected 'fullsweep' or 'chunked:<k>'")
 
 
-def _block_pixels(grid: ScalarGrid, strategy: Strategy) -> int:
-    """Pixels in each block ``strategy`` walks over ``grid``, the last one aside."""
+def _block_rows(grid: ScalarGrid, strategy: Strategy) -> int:
+    """First-axis rows in each block ``strategy`` walks over ``grid``, the last one aside."""
     if isinstance(strategy, FullSweep):
-        return _row_block(grid.dims) * (grid.size // grid.dims[0])
+        return _row_block(grid.dims)
     if isinstance(strategy, Chunked):
-        return min(strategy.chunk_len, grid.size)
+        return _row_block(grid.dims, strategy.chunk_len)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
-def _span_bins(grid: ScalarGrid, taus: ThresholdSet, start: int, stop: int) -> tuple:
-    """``(bins, weights)`` of the critical pixels among pixels [start, stop).
-
-    Coefficients are computed for the first-axis rows the range touches,
-    on a view boxed on each trailing axis to the range plus a one-pixel
-    halo when the range keeps every earlier coordinate fixed, and to the
-    full extent otherwise.  The range is then one contiguous slice of the
-    raveled result, and a row-aligned range computes exactly its own rows,
-    the pixels' :func:`compute_coefficients` values, compacted to the critical
-    pixels, in flat order, and binned by the lookup, as the module says.
-    """
-    strides = [s // grid.values.itemsize for s in grid.values.strides]  # C order, Python ints
-    first, last = ([i // st % n for st, n in zip(strides, grid.dims)] for i in (start, stop - 1))
-    box = [
-        slice(max(0, first[a] - 1), last[a] + 2) if first[:a] == last[:a] else slice(0, None)
-        for a in range(1, grid.ndim)
-    ]
-    view = grid.values[(slice(None), *box)]
-    offset = 0  # of pixel ``start`` in the boxed rows: row-major over the box's extents
-    for f, s, extent in zip(first[1:], box, view.shape[1:]):
-        offset = offset * extent + f - s.start
+def _span_bins(grid: ScalarGrid, taus: ThresholdSet, r0: int, r1: int) -> tuple:
+    """``(bins, weights)`` of the critical pixels in first-axis rows [r0, r1): the
+    rows' values and :func:`compute_coefficients` coefficients, raveled in flat
+    order, compacted and binned by the lookup, as the module says."""
     # no local keeps the int8 block: CPython frees an argument only when the callee holds the
     # last reference, so the lookup frees it once compacted (a *-call's tuple would hold it)
-    return taus._bin_pairs(
-        grid.values.ravel()[start:stop],
-        _coefficient_rows(view, first[0], last[0] + 1).ravel()[offset : offset + stop - start],
-    )
+    return taus._bin_pairs(grid.values[r0:r1].ravel(), _coefficient_rows(grid.values, r0, r1).ravel())
 
 
 def compute_ecc(
@@ -127,7 +108,7 @@ def compute_ecc(
     """
     _positive_int("workers", workers)
     n, held, pairs, hist = len(taus), [], 0, None
-    for pair in _blocks(partial(_span_bins, grid, taus), grid.size, _block_pixels(grid, strategy)):
+    for pair in _blocks(partial(_span_bins, grid, taus), grid.dims[0], _block_rows(grid, strategy)):
         held.append(pair)
         pairs += pair[0].size
         del pair  # held or counted, not kept alive while the next block is computed
@@ -150,5 +131,5 @@ def _count(hist, held: list, n: int) -> np.ndarray:
     """``hist``, or a new float64 histogram of ``n + 1`` bins, with the held pairs added."""
     hist = np.zeros(n + 1) if hist is None else hist
     for bins, weights in held:  # float64 weights take add.at's fast path, with no n + 1 copy
-        np.add.at(hist, bins, weights.astype(np.float64))
+        np.add.at(hist, bins, weights.astype(np.float64, copy=False))
     return hist

@@ -89,7 +89,8 @@ class TestCompute:
     @pytest.mark.parametrize("dims, strategy, block_pixels, blocks", [
         ("24x20", "fullsweep", 480, 1),  # the grid fits one block
         ("12x128x128", "fullsweep", 5 * 128 * 128, 3),  # five 16,384-pixel rows fit the budget
-        ("24x20", "chunked:64", 64, 8),  # the last chunk holds 32 pixels
+        ("24x20", "chunked:64", 60, 8),  # three 20-pixel rows fit 64 pixels
+        ("12x128x128", "chunked:4096", 128 * 128, 12),  # a chunk within a row is one row
         ("24x20", "chunked:1000", 480, 1),  # a chunk past the grid is the grid
     ])
     def test_timing_reports_blocks(self, tmp_path, dims, strategy, block_pixels, blocks):

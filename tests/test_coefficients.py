@@ -24,13 +24,11 @@ from ecckit import (
 )
 from ecckit.coefficients import (
     COEFF_RANGE,
-    _BLOCK_BYTES,
-    _PIXEL_BYTES,
     _coefficient_rows,
     _critical_pixels,
     _row_block,
 )
-from ecckit.hard import _span_bins
+from ecckit.hard import _block_rows, _span_bins
 
 from conftest import random_f32_grid, random_int_grid
 
@@ -67,16 +65,15 @@ def thin_values(rng, kind, dims, dtype=np.float64):
     return rng.random(dims).astype(dtype)
 
 
-# first-axis block targets: None for the default byte budget, then budgets of
-# 65,536, 1 and 24 pixels, several rows, one row and a few rows each; small
-# blocks put many block edges and halo rows in a grid
+# first-axis block targets: None for the default block, then blocks of at
+# most 65,536, 1 and 24 pixels, several rows, one row and a few rows each;
+# small blocks put many block edges and halo rows in a grid
 BLOCK_TARGETS = [None, 65536, 1, 24]
 
 
 def use_block_target(monkeypatch, target):
     if target is not None:
-        budget = target * _PIXEL_BYTES
-        monkeypatch.setattr(ecckit.coefficients, "_row_block", lambda dims: _row_block(dims, budget))
+        monkeypatch.setattr(ecckit.coefficients, "_row_block", lambda dims: _row_block(dims, target))
 
 
 # the default chunk of flat pixels per slab-maximum compare, then chunks of 1
@@ -234,30 +231,34 @@ SLAB_DIMS = [d for d in THIN_DIMS if len(d) == 3] + [(6, 5, 7), (8, 3, 4), (7, 4
 
 class TestSlabs:
     @pytest.mark.parametrize("chunk_len", [1, 7, 23])
-    def test_chunked_halo_boxes(self, rng, chunk_len):
-        # a chunk's coefficients come from a view boxed to the chunk and a
-        # one-pixel halo on each trailing axis; 3 evenly spaced thresholds
-        # have 14 bucket keys, so a chunk of 14 critical pixels or more is
-        # folded into a key histogram first, and any other is binned per pixel
-        folded = 0
+    def test_chunked_row_blocks(self, rng, chunk_len):
+        # Chunked(k) walks the most whole rows within k pixels, one at least,
+        # each through the kernel on the grid's rows and a one-row halo; 3
+        # evenly spaced thresholds have 14 bucket keys, so a block of 14
+        # critical pixels or more is folded into a key histogram first, and
+        # any other is binned per pixel
+        folded = per_pixel = 0
         for dims in SLAB_DIMS:
             g = ScalarGrid(rng.integers(0, 3, dims).astype(np.float32))
             taus = ThresholdSet([0.5, 1.5, 2.5])
-            want, values = compute_coefficients(g).coeffs.ravel(), g.values.ravel()
-            for start in range(0, g.size, chunk_len):
-                stop = min(g.size, start + chunk_len)
-                bins, weights = _span_bins(g, taus, start, stop)
-                span = want[start:stop]
-                want_bins = taus.bin_indices(values[start:stop][span != 0])
+            want, values = compute_coefficients(g).coeffs, g.values
+            rows = _block_rows(g, Chunked(chunk_len))
+            assert rows == max(1, min(chunk_len // (g.size // dims[0]), dims[0]))
+            for r0 in range(0, dims[0], rows):
+                r1 = min(dims[0], r0 + rows)
+                bins, weights = _span_bins(g, taus, r0, r1)
+                span = want[r0:r1].ravel()
+                want_bins = taus.bin_indices(values[r0:r1].ravel()[span != 0])
                 sums = [np.bincount(b, w, minlength=4) for b, w in ((bins, weights), (want_bins, span[span != 0]))]
-                assert np.array_equal(*sums), (dims, start)
+                assert np.array_equal(*sums), (dims, r0)
                 if np.count_nonzero(span) < 14:  # the per-pixel branch
-                    assert np.array_equal(weights, span[span != 0]), (dims, start)
-                    assert np.array_equal(bins, want_bins), (dims, start)
+                    assert np.array_equal(weights, span[span != 0]), (dims, r0)
+                    assert np.array_equal(bins, want_bins), (dims, r0)
+                    per_pixel += 1
                 else:
                     assert weights.dtype == np.float64 and np.all(weights) and bins.size <= 14
                     folded += 1
-        assert (folded > 0) == (chunk_len > 14)
+        assert folded and per_pixel
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_curves_with_many_ties_equal_the_oracle(self, rng, dtype):
@@ -425,24 +426,23 @@ class TestMemory:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_exact_block_peak_per_pixel(self, rng, dtype):
-        # what the block height divides the budget by: a default-height block
-        # of a uniform-random grid, about 60% of its pixels critical, through
-        # the kernel, compaction and binning
+        # what the block's pixel count divides 1,925,000 bytes by: a
+        # default-height block of a uniform-random grid, about 60% of its
+        # pixels critical, through the kernel, compaction and binning
         for dims in [(200, 512), (12, 128, 128)]:
             g = ScalarGrid(rng.random(dims).astype(dtype))
-            row = g.size // g.dims[0]
-            start, stop = 2 * row, (2 + _row_block(g.dims)) * row
+            r0, r1 = 2, 2 + _row_block(g.dims)
             taus = uniform_thresholds(g, 256)
-            _span_bins(g, taus, start, stop)  # the bucket table, built once per set
+            _span_bins(g, taus, r0, r1)  # the bucket table, built once per set
             tracemalloc.start()
             try:
-                _span_bins(g, taus, start, stop)
+                _span_bins(g, taus, r0, r1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            pixels = stop - start
-            assert peak <= _PIXEL_BYTES * pixels, f"{dims}: {peak / pixels:.2f} bytes per pixel"
-            assert peak <= _BLOCK_BYTES
+            pixels = (r1 - r0) * (g.size // g.dims[0])
+            assert peak <= 23.4 * pixels, f"{dims}: {peak / pixels:.2f} bytes per pixel"
+            assert peak <= 1_925_000
 
     @pytest.mark.parametrize("dtype, bound", [(np.float32, 18), (np.float64, 20.1)])
     def test_slab_block_peak_per_pixel(self, rng, dtype, bound):
@@ -451,17 +451,16 @@ class TestMemory:
         # float64, set by the kernel's outer slab maximum and a chunk of corner
         # maxima
         g = ScalarGrid(rng.random((12, 128, 128)).astype(dtype))
-        row = g.size // g.dims[0]
-        start, stop = 5 * row, (5 + _row_block(g.dims)) * row
+        r0, r1 = 5, 5 + _row_block(g.dims)
         taus = uniform_thresholds(g, 256)
-        _span_bins(g, taus, start, stop)  # the bucket table, built once per set
+        _span_bins(g, taus, r0, r1)  # the bucket table, built once per set
         tracemalloc.start()
         try:
-            _span_bins(g, taus, start, stop)
+            _span_bins(g, taus, r0, r1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        pixels = stop - start
+        pixels = (r1 - r0) * 128 * 128
         assert peak <= bound * pixels, f"{peak / pixels:.2f} bytes per pixel"
 
     def test_binning_frees_each_array_at_its_last_use(self, rng):
@@ -472,17 +471,16 @@ class TestMemory:
         # and the compacted values through binning took 14.3 and 13.9
         for dims, r0 in [((12, 128, 128), 5), ((1024, 1024), 2)]:
             g = ScalarGrid(rng.random(dims).astype(np.float32))
-            row = g.size // g.dims[0]
-            start, stop = r0 * row, (r0 + _row_block(g.dims)) * row
+            r1 = r0 + _row_block(g.dims)
             taus = uniform_thresholds(g, 256)
-            _span_bins(g, taus, start, stop)  # the bucket table, built once per set
+            _span_bins(g, taus, r0, r1)  # the bucket table, built once per set
             tracemalloc.start()
             try:
-                _span_bins(g, taus, start, stop)
+                _span_bins(g, taus, r0, r1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            pixels = stop - start
+            pixels = (r1 - r0) * (g.size // g.dims[0])
             assert peak <= 11.5 * pixels, f"{dims}: {peak / pixels:.2f} bytes per pixel"
 
     @pytest.mark.parametrize("dims", [
@@ -490,18 +488,20 @@ class TestMemory:
         (4, 4), (3, 4, 5),  # smaller than one block
         (3, 300_000), (2, 300, 400),  # a row larger than the budget
     ])
-    @pytest.mark.parametrize("budget", [_BLOCK_BYTES, 10_000])
+    @pytest.mark.parametrize("budget", [1_925_000, 10_000])
     def test_row_block_fits_the_budget(self, dims, budget):
-        # the tallest block whose rows, at a block's bytes per pixel, fit the
-        # budget; one row when none fits, the whole grid when all do
-        height = _row_block(dims, budget)
-        row = math.prod(dims[1:]) * _PIXEL_BYTES
+        # the tallest block whose rows, at a block's 23.4 bytes per pixel, fit
+        # the budget; one row when none fits, the whole grid when all do
+        height = _row_block(dims, int(budget // 23.4))
+        row = math.prod(dims[1:]) * 23.4
         assert 1 <= height <= dims[0]
         if row > budget:
             assert height == 1
         else:
             assert height * row <= budget
             assert height == dims[0] or (height + 1) * row > budget
+        if budget == 1_925_000:
+            assert _row_block(dims) == height  # the default block
 
 
 class TestCoefficientFiles:

@@ -35,7 +35,7 @@ def rounds(ts, dtype):
 def float32_edges(ts):
     """The edges of the one-round table ``ts`` builds for float32 values, checked
     to be its first threshold from each bucket on, rounded down to float32."""
-    t0, s, top, start, rounds, padded, edges = ts._table(np.dtype(np.float32))
+    t0, s, top, start, rounds, padded, edges, halve = ts._table(np.dtype(np.float32))
     assert rounds == 1 and edges.dtype == np.float32
     exact = padded[start]
     assert (edges.astype(np.float64) <= exact).all()
@@ -445,6 +445,17 @@ class TestThresholdSet:
             edges = assert_float32_bins_exact(ts, np.concatenate([ends, rng.normal(0, 1e38, 200)]))
             assert edges[0] == (-np.inf if taus[0] < -top else -top)
             assert np.max(edges[edges < np.inf]) == np.float32(top)
+
+    def test_a_span_past_the_float32_range_keeps_one_round(self, rng):
+        # x - t0 in float32 overflows once t0 is near -FLT_MAX, putting every
+        # threshold from 1e38 on in the top bucket (two rounds); the halved
+        # terms x / 2 - t0 / 2 do not overflow
+        ts = ThresholdSet([-1e39, -1e38, 0.0, 1e38, 1e39])
+        assert_float32_bins_exact(ts, np.concatenate(
+            [ts.taus, [-3.4e38, -5e37, 1e-30, 2e38, 3.4e38], rng.normal(0, 1e38, 200)]
+        ))
+        assert ts._table(np.dtype(np.float32))[7]  # halved: the span overflows float32
+        assert not ts._table(np.dtype(np.float64))[7]  # but not float64
 
     def test_float32_edges_on_the_infinite_padding(self, rng):
         # a single threshold fills the first of three buckets: the two others

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecckit.coefficients
 import ecckit.grid
 import ecckit.hard
 from ecckit import (
@@ -27,7 +28,7 @@ from ecckit import (
     uniform_thresholds,
 )
 from ecckit.coefficients import _blocks, _row_block
-from ecckit.hard import _block_pixels, _span_bins
+from ecckit.hard import _block_rows, _span_bins
 from ecckit.soft import SoftEccParams, soft_ecc, soft_ecc_backward
 
 from conftest import random_f32_grid, random_int_grid
@@ -35,10 +36,12 @@ from conftest import random_f32_grid, random_int_grid
 
 @pytest.fixture
 def row_blocks(monkeypatch):
-    """Pins FullSweep's block height, for a test laid out around block edges."""
+    """Pins FullSweep's block height, for a test laid out around block edges;
+    ``Chunked(k)`` keeps the most whole rows within ``k`` pixels."""
 
     def pin(rows):
-        monkeypatch.setattr(ecckit.hard, "_row_block", lambda dims: rows)
+        monkeypatch.setattr(ecckit.hard, "_row_block",
+                            lambda dims, pixels=None: rows if pixels is None else _row_block(dims, pixels))
 
     return pin
 
@@ -205,12 +208,14 @@ class TestCompaction:
 class TestBlockHistograms:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_histogram_and_per_pixel_blocks_in_one_call(self, rng, monkeypatch, row_blocks, dtype):
-        # blocks of 12 rows or 4096-pixel chunks: random rows [0, 12) give
-        # blocks of more critical pixels than the 2(2T + 1) bucket keys of
-        # T = 7 or 256 evenly spaced thresholds, which are folded into key
-        # histograms; a plateau in rows [12, 36), with three dips in rows
-        # [24, 36), gives blocks of fewer, binned per pixel, as is every
-        # chunk of 1 or 7 pixels
+        # blocks of 12 rows or, under Chunked(4096), 16 rows: random rows
+        # [0, 12) give blocks of more critical pixels than the 2(2T + 1)
+        # bucket keys of T = 7 or 256 evenly spaced thresholds, which are
+        # folded into key histograms; a plateau in rows [12, 36), with three
+        # dips in rows [24, 36), gives blocks of fewer, binned per pixel.
+        # Chunked(1) and Chunked(7) walk one 256-pixel row at a time, folded
+        # where a random row holds 30 keys' worth (T = 7) and binned per
+        # pixel otherwise
         row_blocks(12)
         binned, folded = [], []
         bin_pairs, bincount = ThresholdSet._bin_pairs, np.bincount
@@ -238,6 +243,7 @@ class TestBlockHistograms:
                 compute_ecc(g, taus)  # builds the set's bucket table first
                 assert taus._tables[g.values.dtype][4] == 1  # one round: keys
                 keys = 2 * (2 * len(taus) + 1)
+                critical = np.count_nonzero(compute_coefficients(g).coeffs.reshape(36, -1), axis=1)
                 for strategy in (FullSweep(), Chunked(1), Chunked(7), Chunked(4096)):
                     with monkeypatch.context() as m:
                         m.setattr(ThresholdSet, "_bin_pairs", spy_pairs)
@@ -246,9 +252,11 @@ class TestBlockHistograms:
                         folded.clear()
                         got = compute_ecc(g, taus, strategy).values
                     assert got.tobytes() == want.tobytes(), (dims, len(taus), strategy)
-                    assert all(binned) and len(binned) == -(-g.size // _block_pixels(g, strategy))
+                    per_block = np.add.reduceat(critical, range(0, 36, _block_rows(g, strategy)))
+                    assert all(binned) and len(binned) == per_block.size
                     assert all(size >= keys for size in folded)
-                    if strategy in (FullSweep(), Chunked(4096)):
+                    assert len(folded) == np.count_nonzero(per_block >= keys), (dims, strategy)
+                    if strategy in (FullSweep(), Chunked(4096)) or len(taus) == 7:
                         assert 0 < len(folded) < len(binned), (dims, len(taus), strategy)
                     else:
                         assert not folded, (dims, len(taus), strategy)
@@ -365,17 +373,26 @@ class TestStepAssembly:
                 assert got.dtype == np.int64
                 assert got.tobytes() == want.tobytes(), (len(taus), strategy, workers)
 
-    def test_small_chunks_hold_merged_pairs(self, rng):
-        # one pixel per chunk: held one pair per chunk, 1,024 pairs of
-        # arrays would take about 0.5 MiB
-        g = ScalarGrid(rng.random((32, 32)))
-        taus = uniform_thresholds(g, 256)
+    def test_small_chunks_hold_merged_pairs(self, rng, monkeypatch):
+        # one 2-pixel row per block: about 1,975 pairs, fewer than the
+        # 2,048 thresholds, are held to the end, and held one pair of arrays
+        # per block they took 0.51 MiB; merged once more than 64 are held, 0.07
+        g = ScalarGrid(rng.random((2048, 2)))
+        taus = uniform_thresholds(g, 2048)
+        span_bins, blocks = ecckit.hard._span_bins, [0]
+
+        def counting_span_bins(*args):
+            blocks[0] += 1
+            return span_bins(*args)
+
+        monkeypatch.setattr(ecckit.hard, "_span_bins", counting_span_bins)
         tracemalloc.start()
         try:
             got = compute_ecc(g, taus, Chunked(1)).values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert blocks == [2048]
         assert got.tobytes() == dense_reference(g, taus).tobytes()
         assert peak < 0.2 * 2**20, peak
 
@@ -475,27 +492,43 @@ class TestSpanCounts:
         for trial in range(80):
             g = random_int_grid(rng, 2 + trial % 2, 6, hi=3)
             taus = uniform_thresholds(g, 5)
-            values = g.values.ravel()
-            coeffs = compute_coefficients(g).coeffs.ravel()
-            n, line, plane = g.size, g.dims[-1], g.size // g.dims[0]
-            spans = [(0, n)]
-            for _ in range(4):
-                start = int(rng.integers(0, n))
-                spans.append((start, start + 1))
-                for extent in (line, plane):  # within the last-axis line or first-axis row
-                    lo = start - start % extent
-                    spans.append(tuple(sorted(rng.integers(lo, lo + extent + 1, 2))))
-                spans.append((start, int(rng.integers(start, n)) + 1))
-                if g.dims[0] > 1:  # from one first-axis row into a later one
-                    first = int(rng.integers(0, n - plane))
-                    spans.append((first, int(rng.integers(first - first % plane + plane, n)) + 1))
-            for start, stop in spans:
-                if start == stop:
-                    continue
-                bins = taus.bin_indices(values[start:stop])
-                want = dense_counts([(bins, coeffs[start:stop])], taus)
-                got = dense_counts([_span_bins(g, taus, start, stop)], taus)
-                assert got.tobytes() == want.tobytes(), (g.dims, start, stop)
+            rows = g.dims[0]
+            values = g.values.reshape(rows, -1)
+            coeffs = compute_coefficients(g).coeffs.reshape(rows, -1)
+            spans = [(0, rows), *((r, r + 1) for r in range(rows))]  # the grid, each row
+            for _ in range(4):  # a run of rows
+                spans.append(tuple(sorted(rng.choice(rows + 1, 2, replace=False))))
+            for r0, r1 in spans:
+                bins = taus.bin_indices(values[r0:r1].ravel())
+                want = dense_counts([(bins, coeffs[r0:r1].ravel())], taus)
+                got = dense_counts([_span_bins(g, taus, r0, r1)], taus)
+                assert got.tobytes() == want.tobytes(), (g.dims, r0, r1)
+
+    @pytest.mark.parametrize("dims", [(300, 64), (8, 80, 80)])
+    def test_every_block_reads_the_grid_in_place(self, rng, monkeypatch, dims):
+        # each block's kernel and lookup read the grid's own rows, with no
+        # copy; the 3D grid's 6,400-pixel planes are wider than 4,096 pixels
+        g = ScalarGrid(rng.random(dims).astype(np.float32))
+        taus = uniform_thresholds(g, 16)
+        want = dense_reference(g, taus).tobytes()
+        lines, bin_pairs, reads = ecckit.coefficients._lines, ThresholdSet._bin_pairs, []
+
+        def spy_lines(flat, i0, shape, slabs, shift=0):
+            if len(slabs) == len(shape) - 1:  # the kernel's outermost level: the block's rows
+                reads.append(("kernel", np.shares_memory(flat, g.values)))
+            return lines(flat, i0, shape, slabs, shift)
+
+        def spy_pairs(self, v, weights=None):
+            reads.append(("values", np.shares_memory(v, g.values)))
+            return bin_pairs(self, v, weights)
+
+        monkeypatch.setattr(ecckit.coefficients, "_lines", spy_lines)
+        monkeypatch.setattr(ThresholdSet, "_bin_pairs", spy_pairs)
+        for strategy in (FullSweep(), Chunked(4096), Chunked(1)):
+            reads.clear()
+            assert compute_ecc(g, taus, strategy).values.tobytes() == want, strategy
+            blocks = -(-g.dims[0] // _block_rows(g, strategy))
+            assert reads == [("kernel", True), ("values", True)] * blocks, strategy
 
 
 #: sha256 of :class:`TestPinnedCurves`' curve checksums: a change to the
